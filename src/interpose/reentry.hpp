@@ -20,6 +20,13 @@
 // Threads that run resilock code OUTSIDE an interposed frame (the
 // telemetry collector's duty cycle is the one such thread today) pin
 // themselves permanently with preload_pin_thread() at thread start.
+//
+// Thread-exit TLS destructors that touch resilock locks (lockdep's
+// epoch-pin lease) open a PreloadReentryScope, and never pin: glibc
+// runs C++ TLS destructors before the application's pthread_key
+// destructors, so a pinned thread would send a later TSD destructor
+// that locks a shared mutex to the raw glibc object while other
+// threads use the adopted handle — mutual exclusion lost silently.
 #pragma once
 
 #include <cstdint>

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <memory>
 
+#include "interpose/reentry.hpp"
 #include "response/response.hpp"
 
 namespace resilock::lockdep {
@@ -59,6 +60,11 @@ thread_local PinTls t_pin;
 struct PinLease {
   void touch() {}
   ~PinLease() {
+    // Thread exit runs outside any interposed frame: without the scope
+    // the preload would adopt reader_mutex_ as an application mutex.
+    // Scoped, not pinned: the app's pthread_key destructors run after
+    // this one and must still reach their adopted locks.
+    interpose::PreloadReentryScope internal;
     if (t_pin.slot >= 0) {
       Graph::instance().release_reader_slot(
           static_cast<std::uint32_t>(t_pin.slot));

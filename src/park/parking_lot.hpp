@@ -226,7 +226,10 @@ class ParkBay {
   void misuse_wake() noexcept;
 
   // Live count of waiters inside their park window (between the
-  // pre-park registration and the post-wake deregistration).
+  // pre-park registration and the post-wake deregistration). It is
+  // raised before futex_wait, so it does not mean the waiter is asleep:
+  // a hand-off that lands before the syscall compares the word returns
+  // kValueChanged, which is not a park.
   std::uint32_t parked_count() const noexcept {
     return parked_.load(std::memory_order_acquire);
   }

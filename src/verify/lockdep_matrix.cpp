@@ -1,5 +1,6 @@
 #include "verify/lockdep_matrix.hpp"
 
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <memory>
@@ -164,14 +165,26 @@ LockdepScenarioReport run_row(const std::string& name) {
     r.wedge_applicable = true;
     using TL = BasicTicketLock<kOriginal>;
     run_wedge<TL>(
-        [](shield::Shield<TL>& a, shield::Shield<TL>& b) {
+        [first = std::array<std::uint64_t, 2>{}, seen = false](
+            shield::Shield<TL>& a, shield::Shield<TL>& b) mutable {
           // Sweep now_serving over every issued ticket so any wedged
-          // waiter observes its own value (equality spin).
-          for (auto* l : {&a.base(), &b.base()}) {
-            const auto next = VerifyAccess::ticket_next(*l);
-            for (std::uint64_t s = VerifyAccess::ticket_serving(*l);
-                 s <= next; ++s) {
-              VerifyAccess::ticket_force_serving(*l, s);
+          // waiter observes its own value (equality spin). Each round
+          // restarts from the serving value seen at the first rescue:
+          // a waiter that was not scheduled during its one-yield window
+          // would otherwise never be offered its ticket again, since
+          // the first sweep leaves now_serving == next_ticket. The
+          // bound stays next_ticket, so no new ticket is granted.
+          TL* const locks[2] = {&a.base(), &b.base()};
+          if (!seen) {
+            for (int i = 0; i < 2; ++i) {
+              first[i] = VerifyAccess::ticket_serving(*locks[i]);
+            }
+            seen = true;
+          }
+          for (int i = 0; i < 2; ++i) {
+            const auto next = VerifyAccess::ticket_next(*locks[i]);
+            for (std::uint64_t s = first[i]; s <= next; ++s) {
+              VerifyAccess::ticket_force_serving(*locks[i], s);
               std::this_thread::yield();
             }
           }

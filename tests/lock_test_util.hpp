@@ -6,7 +6,13 @@
 #include <atomic>
 #include <cctype>
 #include <cstdint>
+#include <fstream>
 #include <string>
+
+#if defined(__linux__)
+#include <sys/syscall.h>
+#include <unistd.h>
+#endif
 
 #include "core/generic.hpp"
 #include "runtime/thread_team.hpp"
@@ -21,6 +27,39 @@ inline std::string gtest_safe_name(std::string n) {
     if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
   }
   return n;
+}
+
+// Kernel thread id of the caller, for task_syscall_path().
+inline long current_tid() {
+#if defined(__linux__)
+  return ::syscall(SYS_gettid);
+#else
+  return -1;
+#endif
+}
+
+// The syscall a blocked thread sleeps in (first field), or "running".
+inline std::string task_syscall_path(long tid) {
+  return "/proc/self/task/" + std::to_string(tid) + "/syscall";
+}
+
+// Whether this platform exposes task_syscall_path() at all.
+inline bool task_syscall_available() {
+  return std::ifstream(task_syscall_path(current_tid())).good();
+}
+
+// True once thread `tid` is asleep in the futex syscall. A parked
+// count >= 1 is not enough: it rises before futex_wait, so a wake sent
+// then lands before the sleep and the wait is no park.
+inline bool asleep_in_futex(long tid) {
+#if defined(__linux__)
+  std::ifstream in(task_syscall_path(tid));
+  long nr = -1;
+  return static_cast<bool>(in >> nr) && nr == SYS_futex;
+#else
+  (void)tid;
+  return false;
+#endif
 }
 
 // The canonical mutual-exclusion check: N threads increment a plain

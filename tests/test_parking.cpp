@@ -26,6 +26,7 @@
 #include "core/rw/crw.hpp"
 #include "core/ticket.hpp"
 #include "interpose/pthread_shim.hpp"
+#include "lock_test_util.hpp"
 #include "lockdep/lockdep.hpp"
 #include "observe/lockstat.hpp"
 #include "park/futex.hpp"
@@ -192,14 +193,24 @@ TEST(ParkWord, GrantedWordReturnsImmediately) {
 }
 
 TEST(ParkWord, ParkedWaiterWokenByHandoff) {
+  if (!test::task_syscall_available()) {
+    GTEST_SKIP() << "needs /proc/self/task/<tid>/syscall";
+  }
   ParkingGuard park(true);
   ParkSpinsGuard spins(4);
   const std::uint64_t parks0 = stats().parks;
   std::atomic<std::uint32_t> word{kWordWaiting};
   ParkBay bay;
-  std::thread t([&] { EXPECT_EQ(wait_word(word, &bay), kWordGranted); });
-  ASSERT_TRUE(rv::wait_for([&] { return bay.parked_count() >= 1; },
-                           rv::milliseconds{2000}));
+  std::atomic<long> tid{0};
+  std::thread t([&] {
+    tid.store(test::current_tid());
+    EXPECT_EQ(wait_word(word, &bay), kWordGranted);
+  });
+  ASSERT_TRUE(rv::wait_for(
+      [&] {
+        return bay.parked_count() >= 1 && test::asleep_in_futex(tid.load());
+      },
+      rv::milliseconds{2000}));
   wake_word(word);
   t.join();
   EXPECT_GE(stats().parks, parks0 + 1);
@@ -597,6 +608,9 @@ TEST(ShimTimedlock, RwTimedVariants) {
 // ---------------------------------------------------------------------
 
 TEST(ParkObserve, LockstatCountsParksPerClass) {
+  if (!test::task_syscall_available()) {
+    GTEST_SKIP() << "needs /proc/self/task/<tid>/syscall";
+  }
   ParkingGuard park(true);
   ParkSpinsGuard spins(4);
   observe::LockstatGuard lockstat(true);
@@ -604,13 +618,19 @@ TEST(ParkObserve, LockstatCountsParksPerClass) {
   Shield<McsLockResilient> lock(shield::ShieldPolicy::kSuppress);
   Shield<McsLockResilient>::Context owner_ctx;
   generic_acquire(lock, owner_ctx);
+  std::atomic<long> tid{0};
   std::thread waiter([&] {
+    tid.store(test::current_tid());
     Shield<McsLockResilient>::Context c;
     generic_acquire(lock, c);
     EXPECT_TRUE(generic_release(lock, c));
   });
-  ASSERT_TRUE(rv::wait_for([&] { return lock.base().parked_waiters() >= 1; },
-                           rv::milliseconds{2000}));
+  ASSERT_TRUE(rv::wait_for(
+      [&] {
+        return lock.base().parked_waiters() >= 1 &&
+               test::asleep_in_futex(tid.load());
+      },
+      rv::milliseconds{2000}));
   EXPECT_TRUE(generic_release(lock, owner_ctx));
   waiter.join();
   bool found = false;

@@ -16,6 +16,8 @@
 #include <sstream>
 #include <string>
 
+#include <unistd.h>
+
 #ifndef RESILOCK_PRELOAD_LIB
 #error "CMake must define RESILOCK_PRELOAD_LIB"
 #endif
@@ -33,6 +35,13 @@ struct RunResult {
   std::string out;
 };
 
+// Scratch file in gtest's temp dir, unique to this process: parallel
+// copies of the suite must not overwrite each other's stats files or
+// child binaries.
+std::string scratch_path(const std::string& name) {
+  return ::testing::TempDir() + std::to_string(::getpid()) + "_" + name;
+}
+
 std::string slurp(const std::string& path) {
   std::ifstream in(path);
   std::ostringstream ss;
@@ -44,8 +53,7 @@ std::string slurp(const std::string& path) {
 // whole processes, so popen-style capture is the natural harness.
 RunResult run(const std::string& cmd) {
   RunResult r;
-  const std::string out_path =
-      ::testing::TempDir() + "preload_child_out.txt";
+  const std::string out_path = scratch_path("preload_child_out.txt");
   const int rc =
       std::system((cmd + " > " + out_path + " 2>&1").c_str());
   r.exit_code = rc;
@@ -54,33 +62,39 @@ RunResult run(const std::string& cmd) {
   return r;
 }
 
-// Compile-once cache: every test in this file shares the two child
+// Compile-once cache: every test in this file shares the child
 // binaries; gtest runs tests in one process, so function-local statics
-// do the memoization.
-const std::string& child_bin(const std::string& name) {
-  static std::string dir = ::testing::TempDir();
-  static std::string compiler = RESILOCK_CXX_COMPILER;
-  struct Built {
-    std::string path;
-    bool ok;
-  };
-  static auto build = [](const std::string& n) {
-    Built b;
-    b.path = dir + "resilock_" + n;
+// do the memoization, and their destructors remove the binaries at
+// exit (the names are per process, so nothing else reuses them).
+struct ChildBinary {
+  ChildBinary() = default;  // the "no such child" entry
+  explicit ChildBinary(const std::string& n)
+      : path(scratch_path("resilock_" + n)) {
     // -rdynamic: lockstat symbolizes call sites with dladdr, which
     // only sees exported symbols — exactly how an operator would
     // build an app they intend to profile.
-    const std::string cmd = compiler + " -O1 -g -pthread -rdynamic " +
+    const std::string cmd = std::string(RESILOCK_CXX_COMPILER) +
+                            " -O1 -g -pthread -rdynamic " +
                             std::string(RESILOCK_CHILD_SRC_DIR) + "/" +
-                            n + ".cpp -o " + b.path;
-    b.ok = std::system(cmd.c_str()) == 0;
-    return b;
-  };
-  static Built child = build("preload_child");
-  static Built static_init = build("preload_static_init");
-  static Built clock_child = build("preload_clock_child");
-  static const Built none{"", false};
-  const Built& b =
+                            n + ".cpp -o " + path;
+    ok = std::system(cmd.c_str()) == 0;
+  }
+  ~ChildBinary() {
+    if (!path.empty()) std::remove(path.c_str());
+  }
+  ChildBinary(const ChildBinary&) = delete;
+  ChildBinary& operator=(const ChildBinary&) = delete;
+
+  std::string path;
+  bool ok = false;
+};
+
+const std::string& child_bin(const std::string& name) {
+  static const ChildBinary child("preload_child");
+  static const ChildBinary static_init("preload_static_init");
+  static const ChildBinary clock_child("preload_clock_child");
+  static const ChildBinary none;
+  const ChildBinary& b =
       name == "preload_child"
           ? child
           : (name == "preload_static_init"
@@ -103,8 +117,7 @@ std::string preload_env() {
 // instead of corrupting the protocol (the program keeps running to a
 // clean exit).
 TEST(PreloadE2E, ShieldedChildComputesCorrectlyAndAbsorbsMisuse) {
-  const std::string trace =
-      ::testing::TempDir() + "preload_trace.jsonl";
+  const std::string trace = scratch_path("preload_trace.jsonl");
   std::remove(trace.c_str());
   RunResult r = run("env " + preload_env() +
                     " RESILOCK_TRACE_FILE=" + trace + " " +
@@ -132,8 +145,7 @@ TEST(PreloadE2E, ShieldedChildComputesCorrectlyAndAbsorbsMisuse) {
 // interposition layer (the return address inside libresilock_preload
 // would be useless to an operator).
 TEST(PreloadE2E, SigusrDumpNamesChildCallSites) {
-  const std::string report =
-      ::testing::TempDir() + "preload_lockstat.txt";
+  const std::string report = scratch_path("preload_lockstat.txt");
   std::remove(report.c_str());
   RunResult r = run("env " + preload_env() +
                     " RESILOCK_LOCKSTAT=1 RESILOCK_LOCKSTAT_FILE=" +
@@ -153,8 +165,7 @@ TEST(PreloadE2E, SigusrDumpNamesChildCallSites) {
 // the counter total proves the four threads really did serialize on a
 // single shield instance (two instances would lose increments).
 TEST(PreloadE2E, StaticInitializerAdoptedExactlyOnce) {
-  const std::string stats =
-      ::testing::TempDir() + "preload_stats.json";
+  const std::string stats = scratch_path("preload_stats.json");
   std::remove(stats.c_str());
   RunResult r = run("env " + preload_env() +
                     " RESILOCK_PRELOAD_STATS_FILE=" + stats + " " +
@@ -201,8 +212,7 @@ TEST(PreloadE2E, ClockVariantsRouteThroughAdoptedHandles) {
 // arithmetic must still hold — this pins down that interposition
 // itself, not just the shield, preserves mutual exclusion.
 TEST(PreloadE2E, BareAlgorithmModeStillExcludes) {
-  const std::string stats =
-      ::testing::TempDir() + "preload_stats_bare.json";
+  const std::string stats = scratch_path("preload_stats_bare.json");
   std::remove(stats.c_str());
   RunResult r = run(std::string("env LD_PRELOAD=") +
                     RESILOCK_PRELOAD_LIB +
