@@ -161,13 +161,13 @@ Row measure(const std::string& workload, const std::string& name,
   r.lock = name;
   r.threads = threads;
   {
-    lockdep::LockdepModeGuard off(lockdep::LockdepMode::kOff);
+    lockdep::LockdepEnabledGuard off(false);
     r.raw_mops = best_mops(config(name), threads, iters, reps);
     r.shield_mops =
         best_mops(config(shielded_name(name)), threads, iters, reps);
   }
   {
-    lockdep::LockdepModeGuard on(lockdep::LockdepMode::kReport);
+    lockdep::LockdepEnabledGuard on(true);
     r.lockdep_mops =
         best_mops(config(shielded_name(name)), threads, iters, reps);
     response::ResponseRulesGuard adaptive(
@@ -187,12 +187,12 @@ Row measure_hmcs_tree(std::uint32_t threads, std::uint64_t iters,
   r.lock = "HMCS{2,2}";
   r.threads = threads;
   {
-    lockdep::LockdepModeGuard off(lockdep::LockdepMode::kOff);
+    lockdep::LockdepEnabledGuard off(false);
     r.raw_mops = tree_mops<Tree>(threads, iters, reps);
     r.shield_mops = tree_mops<Shielded>(threads, iters, reps);
   }
   {
-    lockdep::LockdepModeGuard on(lockdep::LockdepMode::kReport);
+    lockdep::LockdepEnabledGuard on(true);
     r.lockdep_mops = tree_mops<Shielded>(threads, iters, reps);
     response::ResponseRulesGuard adaptive(
         response::adaptive_policy_spec());

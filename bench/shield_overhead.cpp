@@ -122,7 +122,7 @@ int main(int argc, char** argv) {
   const char* json_path = bench::json_out_path(argc, argv);
 
   // Price the ownership layer alone, whatever RESILOCK_LOCKDEP says.
-  lockdep::LockdepModeGuard lockdep_off(lockdep::LockdepMode::kOff);
+  lockdep::LockdepEnabledGuard lockdep_off(false);
 
   const std::uint32_t max_threads = env_max_threads();
   const std::uint32_t reps = env_reps();

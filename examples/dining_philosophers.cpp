@@ -22,8 +22,8 @@
 #include "core/lock_registry.hpp"
 #include "lockdep/event_ring.hpp"
 #include "lockdep/lockdep.hpp"
+#include "response/response.hpp"
 #include "runtime/thread_team.hpp"
-#include "shield/policy.hpp"
 
 using namespace resilock;
 
@@ -51,8 +51,8 @@ void drain_and_print_events() {
 
 int main() {
   // Reports should never kill the demo, and the one deliberate misuse
-  // below should be absorbed quietly.
-  shield::ShieldPolicyGuard policy(shield::ShieldPolicy::kSuppress);
+  // below should be absorbed quietly: the built-in rule tail alone.
+  response::ResponseRulesGuard rules("");
 
   std::vector<std::unique_ptr<AnyLock>> fork;
   for (int i = 0; i < kPhilosophers; ++i) {

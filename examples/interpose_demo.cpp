@@ -13,9 +13,9 @@
 #include <thread>
 
 #include "core/lock_registry.hpp"
+#include "response/response.hpp"
 #include "runtime/thread_team.hpp"
 #include "runtime/timer.hpp"
-#include "shield/policy.hpp"
 
 using namespace resilock;
 
@@ -65,7 +65,7 @@ int main() {
   // what an interposed program's exit hook would log.
   std::printf("\n== misuse drill: shield<MCS> over the ORIGINAL "
               "protocol ==\n");
-  shield::ShieldPolicyGuard pin(shield::ShieldPolicy::kSuppress);
+  response::ResponseRulesGuard pin("");  // misuse=suppress
   auto drilled = make_lock("shield<MCS>", kOriginal);
   drilled->release();  // unbalanced unlock of a free lock
   drilled->acquire();

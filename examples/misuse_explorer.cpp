@@ -20,7 +20,7 @@
 #include <thread>
 
 #include "core/lock_registry.hpp"
-#include "shield/policy.hpp"
+#include "response/response.hpp"
 #include "verify/misuse_matrix.hpp"
 
 using namespace resilock::verify;
@@ -43,7 +43,7 @@ const std::map<std::string, std::string>& registry_names() {
 
 void shield_counter_drill(const std::string& base) {
   using namespace resilock;
-  shield::ShieldPolicyGuard pin(shield::ShieldPolicy::kSuppress);
+  response::ResponseRulesGuard pin("");  // misuse=suppress
   auto lock = make_lock(shielded_name(base), kOriginal);
   std::printf("\nshield drill on %s (ORIGINAL protocol behind the "
               "generic shield):\n",

@@ -294,9 +294,10 @@ class BasicHmcsLock {
   }
 
   // A refused release, attributed to `entry`'s level class and routed
-  // through the response engine (fallback: suppress — the bespoke
-  // remedy's native behavior). Returns false only for a passthrough
-  // verdict, telling the caller to corrupt faithfully.
+  // through the response engine like every other misuse: the tail's
+  // "misuse=suppress" is the bespoke remedy's native behavior, and the
+  // RESILOCK_SHIELD_POLICY alias governs it too. Returns false only for
+  // a passthrough verdict, telling the caller to corrupt faithfully.
   bool misuse_refused(HNode* entry) {
     response::EventContext rctx;
     lockdep::ClassId cls = lockdep::kInvalidClass;
@@ -309,8 +310,7 @@ class BasicHmcsLock {
     const auto ev = response::ResponseEvent::kUnbalancedUnlock;
     rctx.waiters_parked = bay_.parked_count();
     const response::Action action =
-        response::ResponseEngine::instance().decide(
-            ev, rctx, response::Action::kSuppress);
+        response::ResponseEngine::instance().decide(ev, rctx);
     lockdep::TraceBuffer::instance().emit(
         lockdep::EventKind::kUnbalancedUnlock, entry, cls,
         lockdep::kNoClassTag, static_cast<std::uint8_t>(action));

@@ -30,7 +30,7 @@ using Factory = std::function<std::unique_ptr<AnyLock>(
 // instantiation backs it. `Wrap` optionally interposes an adapter
 // around the flavored lock — the identity by default, Shield for the
 // "shield<X>" composites (flavor still selects the BASE protocol; the
-// shield's own policy comes from RESILOCK_SHIELD_POLICY).
+// shield's verdicts come from the response engine's rules).
 template <typename T>
 using Identity = T;
 

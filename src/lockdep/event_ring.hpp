@@ -158,7 +158,7 @@ inline void set_span_tracing(bool on) noexcept {
   detail::span_flag().store(on, std::memory_order_relaxed);
 }
 
-// RAII pin, mirroring LockdepModeGuard / MisuseCheckGuard.
+// RAII pin, mirroring LockdepEnabledGuard / MisuseCheckGuard.
 class SpanTracingGuard {
  public:
   explicit SpanTracingGuard(bool on) : previous_(span_tracing_enabled()) {

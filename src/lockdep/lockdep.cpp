@@ -664,10 +664,8 @@ void Graph::report_cycle(const std::uint32_t* path, std::size_t len,
         slot, meta_gen(s->meta.load(std::memory_order_relaxed)));
   };
 
-  // The verdict pipeline: rules (RESILOCK_POLICY) first, the legacy
-  // RESILOCK_LOCKDEP mode as the fallback — report maps to kLog,
-  // abort to kAbort, so the old knob behaves exactly as before when no
-  // rules are installed.
+  // The verdict pipeline (src/response/): RESILOCK_POLICY rules, the
+  // RESILOCK_LOCKDEP=abort alias, then the tail's "lockdep=log".
   response::EventContext ctx;
   ctx.waiters = waiters;
   // "Held by another thread" is contention too: in the canonical
@@ -683,11 +681,8 @@ void Graph::report_cycle(const std::uint32_t* path, std::size_t len,
   ctx.cls = stamp(path[1]);
   ctx.cls_label = label_of(ctx.cls);
   const auto ev = static_cast<response::ResponseEvent>(kind);
-  const response::Action fallback =
-      lockdep_mode() == LockdepMode::kAbort ? response::Action::kAbort
-                                            : response::Action::kLog;
   const response::Action action =
-      response::ResponseEngine::instance().decide(ev, ctx, fallback);
+      response::ResponseEngine::instance().decide(ev, ctx);
 
   TraceBuffer::instance().emit(kind, lock, stamp(path[0]),
                                stamp(path[1]),

@@ -42,8 +42,8 @@
 //     out-edges, and retirement never blocks on other threads;
 //   * a per-thread acquisition stack (AcqStack) recording the held set
 //     in acquisition order, fed by Shield<L> hooks;
-//   * verdicts wired to RESILOCK_LOCKDEP=report|abort|off (default
-//     report), runtime-settable like the shield policy.
+//   * one on/off switch, RESILOCK_LOCKDEP=off (default on); what a
+//     report does is the response engine's verdict (src/response/).
 //
 // Tunables: RESILOCK_LOCKDEP_SHARDS (freelist shards, power of two,
 // default 8, max 64) and RESILOCK_LOCKDEP_CHUNK (slots mapped per
@@ -69,7 +69,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <mutex>
-#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -119,70 +118,43 @@ constexpr bool class_tracked(ClassId id) noexcept {
 }
 
 // ---------------------------------------------------------------------
-// Mode: the lockdep analog of the shield's policy engine.
+// On/off switch. RESILOCK_LOCKDEP=off disengages every hook; any other
+// value keeps tracking on ("report" is accepted and does nothing).
+// What a report does is the response engine's verdict: its built-in
+// tail logs it, and RESILOCK_LOCKDEP=abort is an alias the engine
+// translates into the rule "lockdep=abort".
 // ---------------------------------------------------------------------
 
-enum class LockdepMode : std::uint8_t {
-  kOff,     // no tracking at all (hooks disengage)
-  kReport,  // count + trace + print each first-seen inversion/cycle
-  kAbort,   // report, then abort() before the acquisition can wedge
-};
-
-constexpr const char* to_string(LockdepMode m) noexcept {
-  switch (m) {
-    case LockdepMode::kOff: return "off";
-    case LockdepMode::kReport: return "report";
-    case LockdepMode::kAbort: return "abort";
-  }
-  return "?";
-}
-
-inline std::optional<LockdepMode> mode_from_name(std::string_view name) {
-  if (name == "off") return LockdepMode::kOff;
-  if (name == "report") return LockdepMode::kReport;
-  if (name == "abort") return LockdepMode::kAbort;
-  return std::nullopt;
-}
-
 namespace detail {
-inline std::atomic<LockdepMode>& mode_flag() {
-  // RESILOCK_LOCKDEP is the legacy static knob; with RESILOCK_POLICY
-  // rules installed it only decides whether tracking is engaged (off)
-  // and serves as the verdict fallback for unmatched events.
-  static std::atomic<LockdepMode> flag{[] {
-    if (const char* v = platform::env_raw("RESILOCK_LOCKDEP")) {
-      if (auto m = mode_from_name(v)) return *m;
-    }
-    return LockdepMode::kReport;
+inline std::atomic<bool>& enabled_flag() {
+  static std::atomic<bool> flag{[] {
+    const char* v = platform::env_raw("RESILOCK_LOCKDEP");
+    return v == nullptr || std::string_view(v) != "off";
   }()};
   return flag;
 }
 }  // namespace detail
 
-inline LockdepMode lockdep_mode() noexcept {
-  return detail::mode_flag().load(std::memory_order_relaxed);
-}
-
-inline void set_lockdep_mode(LockdepMode m) noexcept {
-  detail::mode_flag().store(m, std::memory_order_relaxed);
-}
-
 inline bool lockdep_enabled() noexcept {
-  return lockdep_mode() != LockdepMode::kOff;
+  return detail::enabled_flag().load(std::memory_order_relaxed);
 }
 
-// RAII pin, mirroring ShieldPolicyGuard / MisuseCheckGuard.
-class LockdepModeGuard {
+inline void set_lockdep_enabled(bool on) noexcept {
+  detail::enabled_flag().store(on, std::memory_order_relaxed);
+}
+
+// RAII pin, mirroring MisuseCheckGuard.
+class LockdepEnabledGuard {
  public:
-  explicit LockdepModeGuard(LockdepMode m) : previous_(lockdep_mode()) {
-    set_lockdep_mode(m);
+  explicit LockdepEnabledGuard(bool on) : previous_(lockdep_enabled()) {
+    set_lockdep_enabled(on);
   }
-  ~LockdepModeGuard() { set_lockdep_mode(previous_); }
-  LockdepModeGuard(const LockdepModeGuard&) = delete;
-  LockdepModeGuard& operator=(const LockdepModeGuard&) = delete;
+  ~LockdepEnabledGuard() { set_lockdep_enabled(previous_); }
+  LockdepEnabledGuard(const LockdepEnabledGuard&) = delete;
+  LockdepEnabledGuard& operator=(const LockdepEnabledGuard&) = delete;
 
  private:
-  const LockdepMode previous_;
+  const bool previous_;
 };
 
 // ---------------------------------------------------------------------

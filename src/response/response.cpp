@@ -38,6 +38,10 @@ constexpr std::string_view kAdaptiveSpec =
     "misuse@uncontended=passthrough;misuse@contended=log;"
     "lockdep@contended=abort;lockdep=log;misuse=suppress";
 
+// What every rule set falls through to: the shield's suppress remedy
+// for misuse, a printed report for lockdep.
+constexpr std::string_view kTailSpec = "misuse=suppress;lockdep=log";
+
 std::string_view trim(std::string_view s) {
   while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
     s.remove_prefix(1);
@@ -136,28 +140,17 @@ std::optional<Rule> parse_rule(std::string_view text) {
   Rule r;
   r.action = *action;
   // Compound conditions: every '@' introduces a clause, all ANDed
-  // ("misuse@class=app.db@waiters>=2=abort"). The first clause lands
-  // in the Rule's flat fields (the original single-condition layout),
-  // the rest in `extra`.
+  // ("misuse@class=app.db@waiters>=2=abort").
   std::size_t at = lhs.find('@');
   if (at != std::string_view::npos) {
     std::string_view conds = lhs.substr(at + 1);
     lhs = trim(lhs.substr(0, at));
-    bool first = true;
     while (true) {
       const std::size_t next = conds.find('@');
-      const std::string_view tok = trim(conds.substr(0, next));
       CondClause c;
-      if (!parse_cond(tok, c)) return std::nullopt;  // "@@" rejects too
-      if (first) {
-        r.cond = c.cond;
-        r.threshold = c.threshold;
-        r.cls_name = std::move(c.cls_name);
-        r.cls = c.cls;
-        first = false;
-      } else {
-        r.extra.push_back(std::move(c));
-      }
+      // "@@" rejects too.
+      if (!parse_cond(trim(conds.substr(0, next)), c)) return std::nullopt;
+      r.conds.push_back(std::move(c));
       if (next == std::string_view::npos) break;
       conds = conds.substr(next + 1);
     }
@@ -189,6 +182,18 @@ std::optional<Action> action_from_name(std::string_view name) noexcept {
 
 std::string_view adaptive_policy_spec() noexcept { return kAdaptiveSpec; }
 
+std::string_view tail_policy_spec() noexcept { return kTailSpec; }
+
+std::string alias_rules(std::string_view shield_policy,
+                        std::string_view lockdep) {
+  std::string spec;
+  if (action_from_name(shield_policy)) {
+    spec = "misuse=" + std::string(shield_policy) + ";";
+  }
+  if (lockdep == "abort") spec += "lockdep=abort;";
+  return spec;
+}
+
 std::optional<std::vector<Rule>> parse_rules(std::string_view spec) {
   spec = trim(spec);
   if (spec == "adaptive") spec = kAdaptiveSpec;
@@ -198,9 +203,9 @@ std::optional<std::vector<Rule>> parse_rules(std::string_view spec) {
     const std::size_t semi = spec.find(';');
     const std::string_view text = trim(spec.substr(0, semi));
     if (!text.empty()) {
-      const auto r = parse_rule(text);
+      auto r = parse_rule(text);
       if (!r) return std::nullopt;
-      rules.push_back(*r);
+      rules.push_back(std::move(*r));
     }
     if (semi == std::string_view::npos) break;
     spec = spec.substr(semi + 1);
@@ -216,33 +221,39 @@ ResponseEngine& ResponseEngine::instance() {
 ResponseEngine::ResponseEngine() {
   log_rate_.store(platform::env_u32("RESILOCK_LOG_RATE", 0),
                   std::memory_order_relaxed);
-  const char* spec = platform::env_raw("RESILOCK_POLICY");
-  if (spec == nullptr) return;
-  if (!configure(spec)) {
-    std::fprintf(stderr,
-                 "resilock[response]: malformed RESILOCK_POLICY \"%s\" "
-                 "ignored (legacy policies stay in effect)\n",
-                 spec);
+  std::vector<Rule> rules;
+  if (const char* spec = platform::env_raw("RESILOCK_POLICY")) {
+    if (auto parsed = parse_rules(spec)) {
+      rules = std::move(*parsed);
+    } else {
+      std::fprintf(stderr,
+                   "resilock[response]: malformed RESILOCK_POLICY \"%s\" "
+                   "ignored (aliases and the built-in tail stay in "
+                   "effect)\n",
+                   spec);
+    }
   }
+  const char* shield_policy = platform::env_raw("RESILOCK_SHIELD_POLICY");
+  const char* lockdep = platform::env_raw("RESILOCK_LOCKDEP");
+  const auto aliases = parse_rules(alias_rules(
+      shield_policy != nullptr ? shield_policy : "",
+      lockdep != nullptr ? lockdep : ""));
+  rules.insert(rules.end(), aliases->begin(), aliases->end());
+  install(std::move(rules));
 }
 
-Action ResponseEngine::decide(ResponseEvent ev, const EventContext& ctx,
-                              Action fallback) noexcept {
-  Action a = fallback;
-  if (has_rules_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> g(mutex_);
-    for (const Rule& r : rules_) {
-      if (r.matches(ev, ctx)) {
-        a = r.action;
-        rule_hits_.fetch_add(1, std::memory_order_relaxed);
-        break;
-      }
+Action ResponseEngine::decide(ResponseEvent ev,
+                              const EventContext& ctx) noexcept {
+  Action a = Action::kSuppress;  // never kept: the tail matches every event
+  for (const Rule& r : current_.load(std::memory_order_acquire)->rules) {
+    if (r.matches(ev, ctx)) {
+      a = r.action;
+      break;
     }
   }
   // Rate-limit the diagnostic, never the protection: an over-budget
   // log verdict still suppresses the misuse, it just stays quiet.
   if (a == Action::kLog && !take_log_token(ev)) a = Action::kSuppress;
-  decisions_.fetch_add(1, std::memory_order_relaxed);
   by_action_[static_cast<std::size_t>(a)].fetch_add(
       1, std::memory_order_relaxed);
   by_event_[static_cast<std::size_t>(ev)].fetch_add(
@@ -260,28 +271,28 @@ bool ResponseEngine::configure(std::string_view spec) {
 void ResponseEngine::install(std::vector<Rule> rules) {
   // Resolve @class= scopes against the live lockdep class table once,
   // at install time; a scope whose class is not yet registered keeps
-  // matching by label (Rule::matches) until reinstalled.
+  // matching by label (CondClause::matches) until reinstalled.
   static_assert(kNoClass == lockdep::kInvalidClass);
   for (Rule& r : rules) {
-    if (r.cond == Condition::kClassScope && r.cls == kNoClass) {
-      r.cls = lockdep::Graph::instance().find_class(r.cls_name);
-    }
-    for (CondClause& c : r.extra) {
+    for (CondClause& c : r.conds) {
       if (c.cond == Condition::kClassScope && c.cls == kNoClass) {
         c.cls = lockdep::Graph::instance().find_class(c.cls_name);
       }
     }
   }
-  std::lock_guard<std::mutex> g(mutex_);
-  rules_ = std::move(rules);
-  has_rules_.store(!rules_.empty(), std::memory_order_release);
+  static const std::vector<Rule> tail = *parse_rules(kTailSpec);
+  rules.insert(rules.end(), tail.begin(), tail.end());
+  auto* set = new RuleSet{std::move(rules),
+                          allocated_.load(std::memory_order_relaxed)};
+  while (!allocated_.compare_exchange_weak(set->older, set,
+                                           std::memory_order_release,
+                                           std::memory_order_relaxed)) {
+  }
+  publish(set);
 }
 
-void ResponseEngine::clear_rules() { install({}); }
-
 std::vector<Rule> ResponseEngine::rules() const {
-  std::lock_guard<std::mutex> g(mutex_);
-  return rules_;
+  return current_.load(std::memory_order_acquire)->rules;
 }
 
 bool ResponseEngine::take_log_token(ResponseEvent ev) noexcept {
@@ -316,21 +327,18 @@ void ResponseEngine::set_log_rate_limit(std::uint32_t per_sec) noexcept {
 
 ResponseStats ResponseEngine::stats() const {
   ResponseStats s;
-  s.decisions = decisions_.load(std::memory_order_relaxed);
-  s.rule_hits = rule_hits_.load(std::memory_order_relaxed);
   s.log_rate_limited = log_rate_limited_.load(std::memory_order_relaxed);
   for (std::size_t i = 0; i < kActions; ++i) {
     s.by_action[i] = by_action_[i].load(std::memory_order_relaxed);
   }
   for (std::size_t i = 0; i < kResponseEvents; ++i) {
     s.by_event[i] = by_event_[i].load(std::memory_order_relaxed);
+    s.decisions += s.by_event[i];
   }
   return s;
 }
 
 void ResponseEngine::reset_stats() {
-  decisions_.store(0, std::memory_order_relaxed);
-  rule_hits_.store(0, std::memory_order_relaxed);
   log_rate_limited_.store(0, std::memory_order_relaxed);
   for (auto& a : by_action_) a.store(0, std::memory_order_relaxed);
   for (auto& e : by_event_) e.store(0, std::memory_order_relaxed);
@@ -370,25 +378,15 @@ void dispatch_abort(ResponseEvent ev, const void* lock) {
 }
 
 ResponseRulesGuard::ResponseRulesGuard(std::string_view spec)
-    : previous_(ResponseEngine::instance().rules()),
-      previous_had_(ResponseEngine::instance().has_rules()) {
+    : previous_(
+          ResponseEngine::instance().current_.load(std::memory_order_acquire)) {
   if (!ResponseEngine::instance().configure(spec)) {
-    ResponseEngine::instance().clear_rules();
+    ResponseEngine::instance().install({});
   }
-}
-
-ResponseRulesGuard::ResponseRulesGuard(std::vector<Rule> rules)
-    : previous_(ResponseEngine::instance().rules()),
-      previous_had_(ResponseEngine::instance().has_rules()) {
-  ResponseEngine::instance().install(std::move(rules));
 }
 
 ResponseRulesGuard::~ResponseRulesGuard() {
-  if (previous_had_) {
-    ResponseEngine::instance().install(std::move(previous_));
-  } else {
-    ResponseEngine::instance().clear_rules();
-  }
+  ResponseEngine::instance().publish(previous_);
 }
 
 }  // namespace resilock::response

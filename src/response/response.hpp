@@ -2,17 +2,15 @@
 // protection layer.
 //
 // The paper frames the *remedy* for a caught misuse as a per-protocol
-// decision; PR 1 (shield) and PR 2 (lockdep) each grew their own static
-// policy knob (RESILOCK_SHIELD_POLICY, RESILOCK_LOCKDEP). A deployment,
-// however, wants to express responses in terms of what is actually at
-// stake RIGHT NOW: an unbalanced unlock of an uncontended lock is
-// harmless to forward, the same unlock with waiters queued deserves a
-// log line, and an order cycle reported while threads are already
-// blocked on the lock is an imminent wedge worth dying for.
+// decision. A deployment, however, wants to express responses in terms
+// of what is actually at stake RIGHT NOW: an unbalanced unlock of an
+// uncontended lock is harmless to forward, the same unlock with waiters
+// queued deserves a log line, and an order cycle reported while threads
+// are already blocked on the lock is an imminent wedge worth dying for.
 //
-// This engine is that decision point. Both the Shield<L> misuse
-// interception and the lockdep inversion/cycle verdict path route
-// through
+// This engine is the ONLY decision point. The Shield<L> / RwShield<L>
+// misuse interception, the HMCS-family refused release and the lockdep
+// inversion/cycle report all route through
 //
 //   decide(event kind, lock telemetry, lockdep state) -> Action
 //
@@ -51,16 +49,20 @@
 //   misuse@uncontended=passthrough; misuse@contended=log;
 //   lockdep@contended=abort; lockdep=log; misuse=suppress
 //
+// Every installed rule set ends in the built-in tail
+// "misuse=suppress;lockdep=log", so some rule always matches; "legacy"
+// or an empty spec installs the tail alone. The older static knobs are
+// aliases, translated into rule text once, when the engine starts
+// (alias_rules()): RESILOCK_SHIELD_POLICY=X appends "misuse=X" and
+// RESILOCK_LOCKDEP=abort appends "lockdep=abort", after the
+// RESILOCK_POLICY rules and before the tail. A rule set installed
+// later (configure(), ResponseRulesGuard) replaces the whole set,
+// aliases included.
+//
 // Log verdicts can additionally be rate-limited (token bucket per
 // event kind, RESILOCK_LOG_RATE tokens/second): a log verdict with the
 // bucket empty degrades to suppress, so noisy production misuse cannot
 // flood stderr or the trace ring.
-//
-// Backward compatibility: with no rules installed (no RESILOCK_POLICY,
-// "legacy", or an empty spec) every decision returns the caller's
-// fallback action — the shield passes its per-instance policy and
-// lockdep passes its mode — so the old env vars behave exactly as
-// before. Explicit per-Shield policies always win over rules.
 #pragma once
 
 #include <atomic>
@@ -180,66 +182,65 @@ struct CondClause {
   // works).
   std::string cls_name;
   std::uint32_t cls = kNoClass;
-};
 
-inline bool cond_matches(Condition cond, std::uint32_t threshold,
-                         const std::string& cls_name, std::uint32_t cls,
-                         const EventContext& ctx) noexcept {
-  switch (cond) {
-    case Condition::kAlways: return true;
-    case Condition::kUncontended: return !ctx.contended;
-    case Condition::kContended: return ctx.contended;
-    case Condition::kInCycle: return ctx.in_flagged_cycle;
-    case Condition::kWaitersAtLeast: return ctx.waiters >= threshold;
-    case Condition::kParkedAtLeast:
-      return ctx.waiters_parked >= threshold;
-    case Condition::kClassScope:
-      // The install-time id pin distinguishes same-label classes
-      // (two trees both labeled "hmcs.level1"). Ids carry a recycle
-      // generation, so a retired class's slot can never alias the
-      // pin; the label check still corroborates the label-only
-      // (pre-registration) install path.
-      if (cls != kNoClass && ctx.cls != cls) return false;
-      return ctx.cls_label != nullptr && cls_name == ctx.cls_label;
+  bool matches(const EventContext& ctx) const noexcept {
+    switch (cond) {
+      case Condition::kAlways: return true;
+      case Condition::kUncontended: return !ctx.contended;
+      case Condition::kContended: return ctx.contended;
+      case Condition::kInCycle: return ctx.in_flagged_cycle;
+      case Condition::kWaitersAtLeast: return ctx.waiters >= threshold;
+      case Condition::kParkedAtLeast:
+        return ctx.waiters_parked >= threshold;
+      case Condition::kClassScope:
+        // The install-time id pin distinguishes same-label classes
+        // (two trees both labeled "hmcs.level1"). Ids carry a recycle
+        // generation, so a retired class's slot can never alias the
+        // pin; the label check still corroborates the label-only
+        // (pre-registration) install path.
+        if (cls != kNoClass && ctx.cls != cls) return false;
+        return ctx.cls_label != nullptr && cls_name == ctx.cls_label;
+    }
+    return false;
   }
-  return false;
-}
+};
 
 struct Rule {
   std::uint16_t events = 0x1FF;  // bitmask over ResponseEvent values
-  // First @cond clause, kept as flat fields (the single-condition
-  // grammar predates compound rules and callers read these directly).
-  Condition cond = Condition::kAlways;
   Action action = Action::kSuppress;
-  std::uint32_t threshold = 0;  // kWaitersAtLeast / kParkedAtLeast
-  std::string cls_name;         // kClassScope only (see CondClause)
-  std::uint32_t cls = kNoClass;
-  // Second and later @cond clauses, ANDed with the first.
-  std::vector<CondClause> extra;
+  std::vector<CondClause> conds;  // all must hold; empty matches always
 
   bool matches(ResponseEvent ev, const EventContext& ctx) const noexcept {
     if ((events & (1u << static_cast<unsigned>(ev))) == 0) return false;
-    if (!cond_matches(cond, threshold, cls_name, cls, ctx)) return false;
-    for (const CondClause& c : extra) {
-      if (!cond_matches(c.cond, c.threshold, c.cls_name, c.cls, ctx)) {
-        return false;
-      }
+    for (const CondClause& c : conds) {
+      if (!c.matches(ctx)) return false;
     }
     return true;
   }
 };
 
-// Parses a rule spec ("adaptive"/"legacy" presets included). Returns
-// nullopt on any malformed rule — a policy string must be all-or-
-// nothing, a half-installed escalation ladder is worse than none.
+// Parses a rule spec ("adaptive"/"legacy" presets included), without
+// the built-in tail. Returns nullopt on any malformed rule — a policy
+// string must be all-or-nothing, a half-installed escalation ladder is
+// worse than none.
 std::optional<std::vector<Rule>> parse_rules(std::string_view spec);
 
 // The "adaptive" preset, spelled out (bench and verify install it).
 std::string_view adaptive_policy_spec() noexcept;
 
+// The built-in tail every installed rule set ends in.
+std::string_view tail_policy_spec() noexcept;
+
+// The rule text the legacy knobs stand for, given their values ("" when
+// unset): RESILOCK_SHIELD_POLICY=X -> "misuse=X" for a valid action X,
+// RESILOCK_LOCKDEP=abort -> "lockdep=abort". Other values add nothing
+// (the tail already gives suppress and log). Pure, so the alias gate
+// can check every combination without touching the environment.
+std::string alias_rules(std::string_view shield_policy,
+                        std::string_view lockdep);
+
 struct ResponseStats {
-  std::uint64_t decisions = 0;
-  std::uint64_t rule_hits = 0;  // decisions answered by a rule (not fallback)
+  std::uint64_t decisions = 0;  // the sum of by_event
   std::uint64_t log_rate_limited = 0;  // log verdicts degraded to suppress
   std::uint64_t by_action[kActions] = {};
   std::uint64_t by_event[kResponseEvents] = {};
@@ -249,23 +250,17 @@ class ResponseEngine {
  public:
   static ResponseEngine& instance();
 
-  // The verdict pipeline. Rules are consulted in order, first match
-  // wins; with no rules (or no match) the caller's `fallback` — its
-  // legacy static policy — is returned, which is what keeps the old
-  // RESILOCK_SHIELD_POLICY / RESILOCK_LOCKDEP semantics intact.
+  // The verdict pipeline: rules are consulted in order, first match
+  // wins, and the tail guarantees a match. Lock-free: the installed
+  // rule set is immutable and published through one atomic pointer.
   // Called only on the cold path (a caught misuse or a first-seen
   // order violation), never per lock operation.
-  Action decide(ResponseEvent ev, const EventContext& ctx,
-                Action fallback) noexcept;
+  Action decide(ResponseEvent ev, const EventContext& ctx) noexcept;
 
-  // Installs `spec` (true) or rejects it untouched (false). An empty
-  // spec or "legacy" clears the rules.
+  // Installs `spec` plus the tail (true) or rejects it untouched
+  // (false). An empty spec or "legacy" installs the tail alone.
   bool configure(std::string_view spec);
-  void install(std::vector<Rule> rules);
-  void clear_rules();
-  bool has_rules() const noexcept {
-    return has_rules_.load(std::memory_order_acquire);
-  }
+  // The installed set, tail included.
   std::vector<Rule> rules() const;
 
   ResponseStats stats() const;
@@ -283,16 +278,37 @@ class ResponseEngine {
   }
 
  private:
-  ResponseEngine();  // reads RESILOCK_POLICY, RESILOCK_LOG_RATE
+  friend class ResponseRulesGuard;
+
+  // An installed rule set. Never freed: installs are cold (environment
+  // at start, guards in tests and verify), and a decide() racing an
+  // install may still be walking the set it loaded. `older` chains
+  // every set ever built, so leak checkers see retired sets as
+  // reachable.
+  struct RuleSet {
+    std::vector<Rule> rules;
+    const RuleSet* older;
+  };
+
+  // Reads RESILOCK_POLICY, the RESILOCK_SHIELD_POLICY / RESILOCK_LOCKDEP
+  // aliases, and RESILOCK_LOG_RATE.
+  ResponseEngine();
   ResponseEngine(const ResponseEngine&) = delete;
   ResponseEngine& operator=(const ResponseEngine&) = delete;
+
+  void install(std::vector<Rule> rules);  // appends the tail
+  void publish(const RuleSet* set) noexcept {
+    current_.store(set, std::memory_order_release);
+  }
 
   // True when the calling kLog decision may print; false degrades it.
   bool take_log_token(ResponseEvent ev) noexcept;
 
-  mutable std::mutex mutex_;   // guards rules_ (cold path only)
-  std::vector<Rule> rules_;
-  std::atomic<bool> has_rules_{false};
+  std::atomic<const RuleSet*> current_{nullptr};
+  // Head of the `older` chain. A CAS push, not a mutex: under the
+  // preload the engine may first be built outside an interposed frame,
+  // where a pthread mutex would be adopted as an application lock.
+  std::atomic<const RuleSet*> allocated_{nullptr};
 
   struct LogBucket {  // guarded by bucket_mutex_
     double tokens = 0.0;
@@ -302,8 +318,6 @@ class ResponseEngine {
   LogBucket buckets_[kResponseEvents] = {};
   std::atomic<std::uint32_t> log_rate_{0};  // tokens/sec; 0 = unlimited
 
-  std::atomic<std::uint64_t> decisions_{0};
-  std::atomic<std::uint64_t> rule_hits_{0};
   std::atomic<std::uint64_t> log_rate_limited_{0};
   std::atomic<std::uint64_t> by_action_[kActions] = {};
   std::atomic<std::uint64_t> by_event_[kResponseEvents] = {};
@@ -337,22 +351,21 @@ void dispatch_abort(ResponseEvent ev, const void* lock);
 using AbortFlushHook = void (*)();
 AbortFlushHook set_abort_flush_hook(AbortFlushHook h) noexcept;
 
-// RAII pins, mirroring ShieldPolicyGuard / LockdepModeGuard.
+// RAII pin for the installed rule set: restores the exact previous set
+// on scope exit.
 class ResponseRulesGuard {
  public:
-  // Installs `spec` for the scope ("" / "legacy" pins the no-rules
-  // state). A malformed spec pins no-rules rather than throwing — the
+  // Installs `spec` for the scope ("" / "legacy" pins the tail alone).
+  // A malformed spec pins the tail alone rather than throwing — the
   // guard is used in verify/bench paths that must not die on a typo'd
   // environment.
   explicit ResponseRulesGuard(std::string_view spec);
-  explicit ResponseRulesGuard(std::vector<Rule> rules);
   ~ResponseRulesGuard();
   ResponseRulesGuard(const ResponseRulesGuard&) = delete;
   ResponseRulesGuard& operator=(const ResponseRulesGuard&) = delete;
 
  private:
-  std::vector<Rule> previous_;
-  bool previous_had_;
+  const ResponseEngine::RuleSet* previous_;
 };
 
 class ScopedAbortHandler {

@@ -1,4 +1,4 @@
-// Misuse policies for the ownership-shield subsystem.
+// Misuse kinds and diagnostics for the ownership-shield subsystem.
 //
 // The paper bakes its remedies into each protocol (`Resilience::kResilient`
 // per lock in src/core/); the shield takes the complementary, glibc-style
@@ -9,39 +9,21 @@
 // migrations want logging, and measurement runs want faithful
 // pass-through so the original consequences stay observable.
 //
-// The process-wide default policy is RESILOCK_SHIELD_POLICY
-// ("suppress" | "abort" | "log" | "passthrough", default "suppress") and
-// can be changed at runtime; every Shield<L> instance can override it.
-//
-// Since the unified response engine (src/response/), this static
-// policy is the *fallback* of the verdict pipeline: with
-// RESILOCK_POLICY rules installed, a default-policy shield asks the
-// engine first (telemetry-aware escalation) and only lands here when
-// no rule matches. RESILOCK_SHIELD_POLICY is therefore a deprecated
-// alias kept for compatibility — without rules it behaves exactly as
-// it always did.
+// That decision belongs to the response engine (src/response/), whose
+// built-in tail suppresses every misuse no other rule claims. There is
+// no per-shield policy: RESILOCK_SHIELD_POLICY=X is an alias the engine
+// translates into the rule "misuse=X" at start, and a scope that needs
+// another verdict installs rules (ResponseRulesGuard, with
+// "@class=<label>" to single out one lock class).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <optional>
-#include <string_view>
 
-#include "platform/env.hpp"
 #include "platform/thread_registry.hpp"
 #include "response/response.hpp"
 
 namespace resilock::shield {
-
-enum class ShieldPolicy : std::uint8_t {
-  kSuppress,        // swallow the misuse; the API reports false/EPERM
-  kAbort,           // print a diagnostic and abort() (Go-panic semantics)
-  kLogAndSuppress,  // print a diagnostic, then suppress
-  kPassThrough,     // count it, then hand it to the protocol untouched
-};
 
 // What the shield caught. `kDoubleUnlock` is the special case of an
 // unbalanced unlock where the caller *was* the previous owner and simply
@@ -60,16 +42,6 @@ enum class MisuseKind : std::uint8_t {
 
 inline constexpr std::size_t kMisuseKinds = 4;
 
-constexpr const char* to_string(ShieldPolicy p) noexcept {
-  switch (p) {
-    case ShieldPolicy::kSuppress: return "suppress";
-    case ShieldPolicy::kAbort: return "abort";
-    case ShieldPolicy::kLogAndSuppress: return "log";
-    case ShieldPolicy::kPassThrough: return "passthrough";
-  }
-  return "?";
-}
-
 constexpr const char* to_string(MisuseKind k) noexcept {
   switch (k) {
     case MisuseKind::kUnbalancedUnlock: return "unbalanced-unlock";
@@ -80,68 +52,7 @@ constexpr const char* to_string(MisuseKind k) noexcept {
   return "?";
 }
 
-inline std::optional<ShieldPolicy> policy_from_name(std::string_view name) {
-  if (name == "suppress") return ShieldPolicy::kSuppress;
-  if (name == "abort") return ShieldPolicy::kAbort;
-  if (name == "log") return ShieldPolicy::kLogAndSuppress;
-  if (name == "passthrough") return ShieldPolicy::kPassThrough;
-  return std::nullopt;
-}
-
-// The engine's Action space is the policy space; this is the
-// compatibility mapping that lets a static ShieldPolicy serve as the
-// verdict-pipeline fallback.
-constexpr response::Action to_action(ShieldPolicy p) noexcept {
-  switch (p) {
-    case ShieldPolicy::kSuppress: return response::Action::kSuppress;
-    case ShieldPolicy::kAbort: return response::Action::kAbort;
-    case ShieldPolicy::kLogAndSuppress: return response::Action::kLog;
-    case ShieldPolicy::kPassThrough: return response::Action::kPassthrough;
-  }
-  return response::Action::kSuppress;
-}
-
-namespace detail {
-inline std::atomic<ShieldPolicy>& default_policy_flag() {
-  static std::atomic<ShieldPolicy> flag{[] {
-    if (const char* v = platform::env_raw("RESILOCK_SHIELD_POLICY")) {
-      if (auto p = policy_from_name(v)) return *p;
-    }
-    return ShieldPolicy::kSuppress;
-  }()};
-  return flag;
-}
-}  // namespace detail
-
-// Process-wide default, picked up by every Shield constructed without an
-// explicit policy. Runtime-settable (tests, REPL-style exploration).
-inline ShieldPolicy default_shield_policy() noexcept {
-  return detail::default_policy_flag().load(std::memory_order_relaxed);
-}
-
-inline void set_default_shield_policy(ShieldPolicy p) noexcept {
-  detail::default_policy_flag().store(p, std::memory_order_relaxed);
-}
-
-// RAII pin for the process-wide default policy (the MisuseCheckGuard
-// pattern): restores the previous default on scope exit, so code that
-// pins a policy for a measurement or a test cannot leak it past an
-// early return or an exception.
-class ShieldPolicyGuard {
- public:
-  explicit ShieldPolicyGuard(ShieldPolicy p)
-      : previous_(default_shield_policy()) {
-    set_default_shield_policy(p);
-  }
-  ~ShieldPolicyGuard() { set_default_shield_policy(previous_); }
-  ShieldPolicyGuard(const ShieldPolicyGuard&) = delete;
-  ShieldPolicyGuard& operator=(const ShieldPolicyGuard&) = delete;
-
- private:
-  const ShieldPolicy previous_;
-};
-
-// Diagnostic line for kAbort / kLogAndSuppress. stderr + fprintf (not a
+// Diagnostic line for abort and log verdicts. stderr + fprintf (not a
 // logging framework) so it works inside interposed pthread programs.
 inline void report_misuse(MisuseKind kind, const void* lock) {
   std::fprintf(stderr,

@@ -30,7 +30,7 @@
 //       indicator that contains the caller itself)
 //
 // Verdicts route through the same response-engine pipeline as the
-// exclusive shield (policy fallback, RESILOCK_POLICY rules, abort
+// exclusive shield (RESILOCK_POLICY rules and their tail, abort
 // dispatch), with the rw contention signal — live blocked writers PLUS
 // the ReadIndicator's reader estimate — as the EventContext. Lockdep
 // sees read acquisitions as AccessMode::kRead and write acquisitions
@@ -104,24 +104,15 @@ class RwShield {
  public:
   using Context = typename Base::Context;
 
-  RwShield() : policy_(default_shield_policy()) {}
+  RwShield() = default;
 
-  // Per-instance policy override plus perfect forwarding to the base
-  // (topology-aware rw locks take their Topology through here). An
-  // explicit policy always wins over RESILOCK_POLICY rules.
-  template <typename... Args>
-  explicit RwShield(ShieldPolicy policy, Args&&... args)
-      : base_(std::forward<Args>(args)...),
-        policy_(policy),
-        policy_explicit_(true) {}
-
+  // Perfect forwarding to the base (topology-aware rw locks take their
+  // Topology through here).
   template <typename First, typename... Rest,
             typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<First>, ShieldPolicy> &&
                 !std::is_same_v<std::decay_t<First>, RwShield>>>
   explicit RwShield(First&& first, Rest&&... rest)
-      : base_(std::forward<First>(first), std::forward<Rest>(rest)...),
-        policy_(default_shield_policy()) {}
+      : base_(std::forward<First>(first), std::forward<Rest>(rest)...) {}
 
   RwShield(const RwShield&) = delete;
   RwShield& operator=(const RwShield&) = delete;
@@ -142,7 +133,7 @@ class RwShield {
     const void* site =
         lockstat ? observe::current_site(RESILOCK_RETURN_ADDRESS()) : nullptr;
     auto& tbl = HeldLockTable::mine();
-    // `fresh` reflects the table, not the policy outcome: a forwarded
+    // `fresh` reflects the table, not the verdict: a forwarded
     // (passthrough or §5-disabled) re-acquire must neither bump the
     // table — the shield stays faithful, so the base sees every later
     // release too — nor double-push the lockdep stack.
@@ -152,7 +143,7 @@ class RwShield {
       const Event ev = held == AccessMode::kRead
                            ? Event::kReentrantRelock
                            : Event::kRwModeMismatch;  // read-under-write
-      if (apply_policy(ev, held)) {  // absorbed as a depth bump
+      if (apply_verdict(ev, held)) {  // absorbed as a depth bump
         counters_.absorbed.fetch_add(1, std::memory_order_relaxed);
         tbl.note_acquired(this, held);
         return;
@@ -216,13 +207,13 @@ class RwShield {
       // The §4 headline: depart-without-arrive. Intercepted HERE, the
       // indicator never skews — no mutex violation, no writer
       // starvation — even over indicators that cannot detect it.
-      if (apply_policy(Event::kUnbalancedReadUnlock, AccessMode::kRead)) {
+      if (apply_verdict(Event::kUnbalancedReadUnlock, AccessMode::kRead)) {
         return false;
       }
       return base_.runlock(ctx);  // kPassthrough: corrupt faithfully
     }
     // kWrongMode: a write hold released as a read.
-    if (apply_policy(Event::kRwModeMismatch, AccessMode::kWrite)) {
+    if (apply_verdict(Event::kRwModeMismatch, AccessMode::kWrite)) {
       return false;
     }
     return base_.runlock(ctx);
@@ -243,7 +234,7 @@ class RwShield {
       const Event ev = held == AccessMode::kRead
                            ? Event::kRwModeMismatch  // upgrade: deadlock bait
                            : Event::kReentrantRelock;
-      if (apply_policy(ev, held)) {
+      if (apply_verdict(ev, held)) {
         counters_.absorbed.fetch_add(1, std::memory_order_relaxed);
         tbl.note_acquired(this, held);
         return;
@@ -308,12 +299,12 @@ class RwShield {
     }
     if (remaining == HeldLockTable::kWrongMode) {
       // A read hold released as a write.
-      if (apply_policy(Event::kRwModeMismatch, AccessMode::kRead)) {
+      if (apply_verdict(Event::kRwModeMismatch, AccessMode::kRead)) {
         return false;
       }
       return base_.wunlock(ctx);
     }
-    if (apply_policy(classify_wunlock(me), AccessMode::kWrite)) {
+    if (apply_verdict(classify_wunlock(me), AccessMode::kWrite)) {
       return false;
     }
     return base_.wunlock(ctx);  // kPassthrough: faithful
@@ -341,7 +332,7 @@ class RwShield {
       const Event ev = held == AccessMode::kRead
                            ? Event::kReentrantRelock
                            : Event::kRwModeMismatch;  // read-under-write
-      if (apply_policy(ev, held)) {  // absorbed as a depth bump
+      if (apply_verdict(ev, held)) {  // absorbed as a depth bump
         counters_.absorbed.fetch_add(1, std::memory_order_relaxed);
         tbl.note_acquired(this, held);
         return true;
@@ -369,7 +360,7 @@ class RwShield {
       const Event ev = held == AccessMode::kRead
                            ? Event::kRwModeMismatch  // upgrade: deadlock bait
                            : Event::kReentrantRelock;
-      if (apply_policy(ev, held)) {
+      if (apply_verdict(ev, held)) {
         counters_.absorbed.fetch_add(1, std::memory_order_relaxed);
         tbl.note_acquired(this, held);
         return true;
@@ -405,20 +396,11 @@ class RwShield {
     }
     // Not held at all: classify on the write side (the read side has
     // no ownership to misattribute) and suppress/forward per verdict.
-    if (apply_policy(classify_wunlock(platform::self_pid() + 1),
+    if (apply_verdict(classify_wunlock(platform::self_pid() + 1),
                      AccessMode::kWrite)) {
       return false;
     }
     return base_.runlock(ctx);  // faithful: behaves like a bogus depart
-  }
-
-  // -- policy ----------------------------------------------------------
-  ShieldPolicy policy() const {
-    return policy_.load(std::memory_order_relaxed);
-  }
-  void set_policy(ShieldPolicy p) {
-    policy_.store(p, std::memory_order_relaxed);
-    policy_explicit_.store(true, std::memory_order_relaxed);
   }
 
   // -- lockdep ---------------------------------------------------------
@@ -565,17 +547,17 @@ class RwShield {
     return Event::kUnbalancedUnlock;
   }
 
-  // The shared verdict pipeline (mirrors Shield::apply_policy): true
+  // The shared verdict pipeline (mirrors Shield::apply_verdict): true
   // means the misuse is suppressed and the caller must not touch the
   // base; false means kPassthrough. `mode` is the caller's hold mode at
   // interception (or the side of the misbehaving operation when the
   // caller holds nothing) — it rides into the trace event together with
   // the indicator's reader estimate, the §4 "who else is exposed"
   // payload a post-mortem wants next to each rw misuse.
-  bool apply_policy(Event ev, AccessMode mode) {
+  bool apply_verdict(Event ev, AccessMode mode) {
     counters_.misuse[static_cast<std::size_t>(ev)].fetch_add(
         1, std::memory_order_relaxed);
-    // Mirror Shield::apply_policy: with lockstat on, register the
+    // Mirror Shield::apply_verdict: with lockstat on, register the
     // class even for a misuse-before-first-acquire so per-class misuse
     // tallies reconcile exactly with the shield counters.
     const lockdep::ClassId cls =
@@ -584,21 +566,16 @@ class RwShield {
             : lockdep_class_.load(std::memory_order_relaxed);
     if (observe::lockstat_enabled()) observe::on_misuse(cls);
     const std::uint32_t readers = base_.indicator().approx_readers();
-    response::Action action;
-    if (policy_explicit_.load(std::memory_order_relaxed)) {
-      action = to_action(policy());
-    } else {
-      response::EventContext ctx;
-      ctx.waiters = contention_.waiters() + readers;
-      ctx.contended = ctx.waiters > 0 || write_owned_by_other();
-      ctx.in_flagged_cycle = lockdep::Graph::instance().is_flagged(cls);
-      ctx.waiters_parked = base_parked_waiters();
-      ctx.cls = cls;
-      ctx.cls_label = lockdep::Graph::instance().label_of(cls);
-      action = response::ResponseEngine::instance().decide(
-          ev, ctx, to_action(policy()));
-    }
-    // Misuse-aware wakeup (mirrors Shield::apply_policy): an absorbed
+    response::EventContext ctx;
+    ctx.waiters = contention_.waiters() + readers;
+    ctx.contended = ctx.waiters > 0 || write_owned_by_other();
+    ctx.in_flagged_cycle = lockdep::Graph::instance().is_flagged(cls);
+    ctx.waiters_parked = base_parked_waiters();
+    ctx.cls = cls;
+    ctx.cls_label = lockdep::Graph::instance().label_of(cls);
+    const response::Action action =
+        response::ResponseEngine::instance().decide(ev, ctx);
+    // Misuse-aware wakeup (mirrors Shield::apply_verdict): an absorbed
     // rw misuse may orphan waiters parked on the base lock's hand-off.
     // Broadcast-wake them so each re-checks its wait word.
     if (action != response::Action::kPassthrough) base_misuse_wake();
@@ -692,8 +669,6 @@ class RwShield {
   }
 
   Base base_;
-  std::atomic<ShieldPolicy> policy_;
-  std::atomic<bool> policy_explicit_{false};
   ContentionProbe contention_;  // writer-side blocking only
   // Write-owner tag (pid+1) for wunlock classification; the held-locks
   // table, not this word, decides balanced vs unbalanced.

@@ -12,7 +12,8 @@
 // operation (bench/shield_overhead.cpp quantifies it against the native
 // in-protocol checks).
 //
-// Interception map (policy decides the consequence, see policy.hpp):
+// Interception map (the response engine decides the consequence,
+// src/response/response.hpp):
 //   acquire while already holding  -> kReentrantRelock
 //       suppress: absorbed as a recursion-depth bump (the §3.9 reentrant
 //       remedy), so the matching release is absorbed too.
@@ -34,7 +35,7 @@
 // The shield is also the feeding point of the lockdep subsystem
 // (src/lockdep/): every blocking acquire attempt records held-while-
 // acquiring order edges (flagging AB/BA inversions and deadlock cycles
-// before they can wedge, RESILOCK_LOCKDEP=report|abort|off), and every
+// before they can wedge; RESILOCK_LOCKDEP=off disengages it), and every
 // caught misuse is emitted as a timestamped trace event.
 #pragma once
 
@@ -73,16 +74,7 @@ class Shield {
  public:
   using Context = context_of_t<Base>;
 
-  Shield() : policy_(default_shield_policy()) {}
-
-  // Per-instance policy override, plus perfect forwarding to the base
-  // (topology-aware locks take their Topology through here). An
-  // explicit policy always wins over RESILOCK_POLICY rules.
-  template <typename... Args>
-  explicit Shield(ShieldPolicy policy, Args&&... args)
-      : base_(std::forward<Args>(args)...),
-        policy_(policy),
-        policy_explicit_(true) {}
+  Shield() = default;
 
   // Keyed construction (lockdep/class_key.hpp): every shield built
   // against `key` shares one lockdep class — container-level order
@@ -90,27 +82,17 @@ class Shield {
   // per-instance default.
   template <typename... Args>
   explicit Shield(lockdep::LockClassKey& key, Args&&... args)
-      : base_(std::forward<Args>(args)...),
-        policy_(default_shield_policy()),
-        lockdep_key_(&key) {}
+      : base_(std::forward<Args>(args)...), lockdep_key_(&key) {}
 
-  template <typename... Args>
-  Shield(ShieldPolicy policy, lockdep::LockClassKey& key, Args&&... args)
-      : base_(std::forward<Args>(args)...),
-        policy_(policy),
-        policy_explicit_(true),
-        lockdep_key_(&key) {}
-
-  // Base-constructor forwarding with the process-default policy.
+  // Perfect forwarding to the base (topology-aware locks take their
+  // Topology through here).
   template <typename First, typename... Rest,
             typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<First>, ShieldPolicy> &&
                 !std::is_same_v<std::decay_t<First>,
                                 lockdep::LockClassKey> &&
                 !std::is_same_v<std::decay_t<First>, Shield>>>
   explicit Shield(First&& first, Rest&&... rest)
-      : base_(std::forward<First>(first), std::forward<Rest>(rest)...),
-        policy_(default_shield_policy()) {}
+      : base_(std::forward<First>(first), std::forward<Rest>(rest)...) {}
 
   Shield(const Shield&) = delete;
   Shield& operator=(const Shield&) = delete;
@@ -210,7 +192,7 @@ class Shield {
         if (lockstat) observe::on_trylock_fail(lockdep_ensure_class());
         return false;
       }
-      note_base_acquired(ctx, site);  // kPassThrough: faithful
+      note_base_acquired(ctx, site);  // passthrough: faithful
       return true;
     }
     if (!generic_try_acquire(base_, ctx)) {
@@ -279,8 +261,8 @@ class Shield {
       return generic_release(base_, ctx);
     }
     const MisuseKind kind = classify_release(me);
-    if (apply_policy(kind)) return false;  // suppressed
-    return generic_release(base_, ctx);    // kPassThrough: faithful
+    if (apply_verdict(kind)) return false;  // suppressed
+    return generic_release(base_, ctx);    // passthrough: faithful
   }
 
   // PlainLock convenience overloads (the context is stateless).
@@ -302,17 +284,6 @@ class Shield {
   {
     NoContext c;
     return try_acquire(c);
-  }
-
-  // -- policy engine ---------------------------------------------------
-  ShieldPolicy policy() const {
-    return policy_.load(std::memory_order_relaxed);
-  }
-  // An explicitly set policy pins this instance: RESILOCK_POLICY rules
-  // no longer apply to it (same precedence as the policy constructor).
-  void set_policy(ShieldPolicy p) {
-    policy_.store(p, std::memory_order_relaxed);
-    policy_explicit_.store(true, std::memory_order_relaxed);
   }
 
   // -- lockdep integration ---------------------------------------------
@@ -360,14 +331,9 @@ class Shield {
   // interception point. Returns true when the verdict suppresses the
   // misuse (kAbort only returns through a verify/test abort trap);
   // false means passthrough and the caller must forward to the base
-  // protocol, misbehavior and all.
-  //
-  // Precedence: an explicit per-instance policy is final; otherwise
-  // the response engine decides from (event, contention telemetry,
-  // lockdep state), falling back to this instance's captured default
-  // policy when no rule matches — which is exactly the pre-engine
-  // behavior when RESILOCK_POLICY is unset.
-  bool apply_policy(MisuseKind kind) {
+  // protocol, misbehavior and all. The response engine decides from
+  // (event, contention telemetry, lockdep state).
+  bool apply_verdict(MisuseKind kind) {
     counters_.bump_misuse(kind);
     const auto ev =
         static_cast<response::ResponseEvent>(static_cast<std::uint8_t>(kind));
@@ -379,20 +345,15 @@ class Shield {
             ? lockdep_ensure_class()
             : lockdep_class_.load(std::memory_order_relaxed);
     if (observe::lockstat_enabled()) observe::on_misuse(cls);
-    response::Action action;
-    if (policy_explicit_.load(std::memory_order_relaxed)) {
-      action = to_action(policy());
-    } else {
-      response::EventContext ctx;
-      ctx.waiters = contention_.waiters();
-      ctx.waiters_parked = base_parked_waiters();
-      ctx.contended = ctx.waiters > 0;
-      ctx.in_flagged_cycle = lockdep::Graph::instance().is_flagged(cls);
-      ctx.cls = cls;
-      ctx.cls_label = lockdep::Graph::instance().label_of(cls);
-      action = response::ResponseEngine::instance().decide(
-          ev, ctx, to_action(policy()));
-    }
+    response::EventContext ctx;
+    ctx.waiters = contention_.waiters();
+    ctx.waiters_parked = base_parked_waiters();
+    ctx.contended = ctx.waiters > 0;
+    ctx.in_flagged_cycle = lockdep::Graph::instance().is_flagged(cls);
+    ctx.cls = cls;
+    ctx.cls_label = lockdep::Graph::instance().label_of(cls);
+    const response::Action action =
+        response::ResponseEngine::instance().decide(ev, ctx);
     // Every caught misuse also becomes a timestamped trace event
     // (src/lockdep/event_ring.hpp); MisuseKind values map one-to-one
     // onto the low EventKind values, and the shield's lockdep class and
@@ -451,10 +412,10 @@ class Shield {
   }
 
   // Returns true when the relock was absorbed (caller must not touch the
-  // base); false means the policy is kPassThrough and the caller should
+  // base); false means the verdict is passthrough and the caller should
   // forward to the base protocol.
   bool intercept_relock() {
-    if (!apply_policy(MisuseKind::kReentrantRelock)) return false;
+    if (!apply_verdict(MisuseKind::kReentrantRelock)) return false;
     counters_.bump_absorbed();
     HeldLockTable::mine().note_acquired(this);
     return true;
@@ -571,10 +532,6 @@ class Shield {
   }
 
   Base base_;
-  std::atomic<ShieldPolicy> policy_;
-  // True when the policy was chosen per instance (constructor or
-  // set_policy): the verdict pipeline then never overrides it.
-  std::atomic<bool> policy_explicit_{false};
   // Live waiter gauge + cumulative contended-acquire count
   // (core/contention.hpp) — the telemetry half of the engine's inputs.
   ContentionProbe contention_;

@@ -22,7 +22,7 @@ struct ShieldSnapshot {
   std::uint64_t acquisitions = 0;       // base-protocol acquisitions
   std::uint64_t releases = 0;           // balanced releases (incl. absorbed)
   std::uint64_t reentrant_absorbed = 0; // relocks converted to depth bumps
-  std::uint64_t suppressed = 0;         // misuses swallowed by policy
+  std::uint64_t suppressed = 0;         // misuses swallowed by verdict
   std::uint64_t passed_through = 0;     // misuses forwarded to the base
   std::uint64_t misuse[kMisuseKinds] = {0, 0, 0, 0};
 

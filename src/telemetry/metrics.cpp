@@ -100,7 +100,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     const response::ResponseStats rs =
         response::ResponseEngine::instance().stats();
     put("response.decisions", rs.decisions);
-    put("response.rule_hits", rs.rule_hits);
     put("response.log_rate_limited", rs.log_rate_limited);
     for (std::size_t i = 0; i < response::kActions; ++i) {
       put(std::string("response.action.") +

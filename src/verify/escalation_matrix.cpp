@@ -7,14 +7,12 @@
 #include "core/lock_registry.hpp"
 #include "lockdep/lockdep.hpp"
 #include "response/response.hpp"
-#include "shield/policy.hpp"
 #include "verify/checkers.hpp"
 
 namespace resilock::verify {
 namespace {
 
 using response::Action;
-using response::EventContext;
 using response::ResponseEngine;
 using response::ResponseEvent;
 
@@ -146,40 +144,16 @@ EscalationReport run_row(const std::string& name) {
 std::vector<EscalationReport> run_escalation_matrix(
     const std::vector<std::string>& names) {
   // Pin every global policy surface for the run: the adaptive rules
-  // under test, lockdep reporting (edges must be tracked; the verdict
-  // comes from the rules), and a suppress default as the fallback.
+  // under test and lockdep tracking (edges must be recorded; the
+  // verdict comes from the rules).
   response::ResponseRulesGuard rules(response::adaptive_policy_spec());
-  lockdep::LockdepModeGuard mode(lockdep::LockdepMode::kReport);
-  shield::ShieldPolicyGuard policy(shield::ShieldPolicy::kSuppress);
+  lockdep::LockdepEnabledGuard lockdep_on(true);
   const std::vector<std::string> defaults = {"TAS", "Ticket", "MCS"};
   std::vector<EscalationReport> out;
   for (const auto& n : names.empty() ? defaults : names) {
     out.push_back(run_row(n));
   }
   return out;
-}
-
-bool verify_legacy_compat_mapping() {
-  response::ResponseRulesGuard none("");  // the legacy state
-  const EventContext uncontended{};
-  const EventContext contended{/*waiters=*/2, /*contended=*/true,
-                               /*in_flagged_cycle=*/false};
-  for (const shield::ShieldPolicy p :
-       {shield::ShieldPolicy::kSuppress, shield::ShieldPolicy::kAbort,
-        shield::ShieldPolicy::kLogAndSuppress,
-        shield::ShieldPolicy::kPassThrough}) {
-    const Action fallback = shield::to_action(p);
-    for (std::size_t e = 0; e < response::kResponseEvents; ++e) {
-      const auto ev = static_cast<ResponseEvent>(e);
-      for (const EventContext* ctx : {&uncontended, &contended}) {
-        if (ResponseEngine::instance().decide(ev, *ctx, fallback) !=
-            fallback) {
-          return false;
-        }
-      }
-    }
-  }
-  return true;
 }
 
 void print_escalation_matrix(const std::vector<EscalationReport>& reports) {

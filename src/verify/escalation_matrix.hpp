@@ -1,11 +1,9 @@
 // Escalation scenario matrix: does the unified response engine
 // (src/response/) fire each tier of the adaptive ladder under exactly
-// the situation the rule names, and do the legacy policy knobs still
-// mean what they always meant?
+// the situation the rule names?
 //
 // Three scripted scenarios per base algorithm, run on shield<X> from
-// the registry (default-policy shields — the engine-eligible kind)
-// with the "adaptive" rule set installed:
+// the registry with the "adaptive" rule set installed:
 //   * uncontended — an unbalanced unlock of a free, waiter-less lock
 //                   must take the PASSTHROUGH verdict (the base
 //                   protocol, resilient flavor here, refuses it);
@@ -18,9 +16,8 @@
 //                   records the would-be death and lets the run
 //                   continue, so the scenario also proves every thread
 //                   still joins.
-// Plus the compatibility gate: with no rules installed, the engine
-// must map every legacy RESILOCK_SHIELD_POLICY value and
-// RESILOCK_LOCKDEP mode onto itself (decide() == fallback).
+// The legacy knobs are checked by the alias gate in
+// tests/test_response.cpp (EscalationMatrix.LegacyAliasesKeepTheirVerdicts).
 #pragma once
 
 #include <string>
@@ -44,15 +41,10 @@ struct EscalationReport {
 };
 
 // Runs the matrix for `names` (default: TAS, Ticket, MCS). Installs
-// the adaptive rule set, pins lockdep to report and the shield default
-// policy to suppress for the run; every pin is restored on return.
+// the adaptive rule set and pins lockdep on for the run; every pin is
+// restored on return.
 std::vector<EscalationReport> run_escalation_matrix(
     const std::vector<std::string>& names = {});
-
-// True iff decide() == fallback for every (legacy policy, event kind,
-// context) combination with no rules installed — the compatibility
-// mapping the old env vars ride on.
-bool verify_legacy_compat_mapping();
 
 void print_escalation_matrix(const std::vector<EscalationReport>& reports);
 

@@ -12,7 +12,6 @@
 #include "lockdep/lockdep.hpp"
 #include "platform/topology.hpp"
 #include "response/response.hpp"
-#include "shield/policy.hpp"
 #include "shield/shield.hpp"
 #include "verify/checkers.hpp"
 
@@ -312,8 +311,7 @@ std::vector<HierReport> run_hier_matrix() {
   // Pin every policy surface so results do not depend on the
   // environment; the scoped-rule gate installs its own rule set.
   response::ResponseRulesGuard rules("");
-  shield::ShieldPolicyGuard policy(shield::ShieldPolicy::kSuppress);
-  lockdep::LockdepModeGuard mode(lockdep::LockdepMode::kReport);
+  lockdep::LockdepEnabledGuard lockdep_on(true);
 
   using Hmcs = BasicHmcsLock<kResilient>;
   using Hclh = BasicHclhLock<kResilient>;

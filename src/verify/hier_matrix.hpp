@@ -60,10 +60,10 @@ struct HierReport {
   }
 };
 
-// Runs the matrix across the five configurations. Pins the shield
-// policy to kSuppress, the lockdep mode to kReport, and the response
-// rules to the no-rules state (the scoped gate installs its own rule
-// set for its scope).
+// Runs the matrix across the five configurations. Pins lockdep on and
+// the response rules to the built-in tail alone (misuse=suppress,
+// lockdep=log); the scoped gate installs its own rule set for its
+// scope.
 std::vector<HierReport> run_hier_matrix();
 
 void print_hier_matrix(const std::vector<HierReport>& reports);

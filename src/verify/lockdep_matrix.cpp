@@ -104,8 +104,8 @@ bool run_cycle(const std::string& shielded) {
 // then, and `rescue` (repeatedly invoked) must unstick both.
 template <typename BaseLock, typename Rescue>
 void run_wedge(Rescue rescue, bool& forewarned, bool& joined) {
-  shield::Shield<BaseLock> a(shield::ShieldPolicy::kSuppress);
-  shield::Shield<BaseLock> b(shield::ShieldPolicy::kSuppress);
+  shield::Shield<BaseLock> a;
+  shield::Shield<BaseLock> b;
   const std::uint64_t before = report_count();
   std::atomic<bool> a_held{false}, b_held{false}, go{false};
   Probe p1([&] {
@@ -199,12 +199,12 @@ LockdepScenarioReport run_row(const std::string& name) {
 std::vector<LockdepScenarioReport> run_lockdep_matrix(
     const std::vector<std::string>& names) {
   // Pin every policy surface so results do not depend on the
-  // environment: no response-engine rules (RESILOCK_POLICY cleared for
-  // the scope), misuses the scenarios provoke are suppressed, lockdep
-  // reports but never aborts.
+  // environment: the response engine's tail alone (RESILOCK_POLICY and
+  // its aliases cleared for the scope) suppresses the misuses the
+  // scenarios provoke and logs lockdep reports without aborting;
+  // lockdep tracking is on.
   response::ResponseRulesGuard rules("");
-  shield::ShieldPolicyGuard policy(shield::ShieldPolicy::kSuppress);
-  lockdep::LockdepModeGuard mode(lockdep::LockdepMode::kReport);
+  lockdep::LockdepEnabledGuard lockdep_on(true);
   const std::vector<std::string> defaults = {"TAS", "Ticket", "MCS"};
   std::vector<LockdepScenarioReport> out;
   for (const auto& n : names.empty() ? defaults : names) {

@@ -45,8 +45,9 @@ struct LockdepScenarioReport {
 };
 
 // Runs the matrix for `names` (default: TAS, Ticket, MCS — one word
-// lock, one FIFO counter lock, one context queue lock). Pins the shield
-// policy to kSuppress and the lockdep mode to kReport for the run.
+// lock, one FIFO counter lock, one context queue lock). Pins lockdep on
+// and the response rules to the built-in tail alone (misuse=suppress,
+// lockdep=log) for the run.
 std::vector<LockdepScenarioReport> run_lockdep_matrix(
     const std::vector<std::string>& names = {});
 

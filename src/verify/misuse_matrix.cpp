@@ -14,7 +14,6 @@
 #include "core/sw/peterson.hpp"
 #include "platform/thread_registry.hpp"
 #include "response/response.hpp"
-#include "shield/policy.hpp"
 #include "verify/access.hpp"
 #include "verify/checkers.hpp"
 
@@ -1187,12 +1186,11 @@ std::vector<ShieldComparison> run_shield_matrix(
     const std::vector<std::string>& names) {
   const std::vector<std::string>& selected =
       names.empty() ? table2_lock_names() : names;
-  // Pin the shield policy — and clear any RESILOCK_POLICY rules — so
-  // the matrix is deterministic regardless of the environment (RAII:
-  // an unknown name in `names` throws out of make_lock and must not
-  // leak the pins).
+  // Pin the response engine's tail alone (misuse=suppress), clearing
+  // RESILOCK_POLICY and its aliases, so the matrix is deterministic
+  // regardless of the environment (RAII: an unknown name in `names`
+  // throws out of make_lock and must not leak the pin).
   response::ResponseRulesGuard rules("");
-  shield::ShieldPolicyGuard pin(shield::ShieldPolicy::kSuppress);
 
   std::vector<ShieldComparison> rows;
   for (const auto& name : selected) {

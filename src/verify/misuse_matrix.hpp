@@ -94,8 +94,8 @@ struct ShieldComparison {
 };
 
 // Runs the comparison for `names` (default: the Table 2 six). The
-// shield policy is pinned to kSuppress for the run so results do not
-// depend on RESILOCK_SHIELD_POLICY.
+// response rules are pinned to the built-in tail (misuse=suppress) for
+// the run so results do not depend on RESILOCK_POLICY or its aliases.
 std::vector<ShieldComparison> run_shield_matrix(
     const std::vector<std::string>& names = {});
 

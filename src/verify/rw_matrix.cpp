@@ -18,7 +18,6 @@ using response::Action;
 using response::ResponseEngine;
 using response::ResponseEvent;
 using shield::RwShield;
-using shield::ShieldPolicy;
 
 std::uint64_t report_count() {
   return lockdep::Graph::instance().stats().reports();
@@ -239,8 +238,7 @@ std::vector<RwReport> run_rw_matrix() {
   // Pin every policy surface so results do not depend on the
   // environment; the mismatch scenario scopes its own rule set.
   response::ResponseRulesGuard rules("");
-  shield::ShieldPolicyGuard policy(ShieldPolicy::kSuppress);
-  lockdep::LockdepModeGuard mode(lockdep::LockdepMode::kReport);
+  lockdep::LockdepEnabledGuard lockdep_on(true);
   std::vector<RwReport> out;
   out.push_back(run_config<CPtktTktLock, RwPreference::kNeutral>(
       "C-RW-NP/ptkt-tkt"));

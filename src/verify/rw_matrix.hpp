@@ -53,9 +53,9 @@ struct RwReport {
 // Runs the matrix over the rw configurations: neutral-preference
 // C-RW-NP over the paper's C-PTKT-TKT cohort, reader-preference over
 // the C-TKT-TKT cohort, and writer-preference over the C-BO-BO (TAS
-// local) cohort. Pins the shield default policy to suppress, lockdep
-// to report, and clears response rules for the run (the mismatch
-// scenario installs its own rule set in scope).
+// local) cohort. Pins lockdep on and the response rules to the
+// built-in tail alone for the run (the mismatch scenario installs its
+// own rule set in scope).
 std::vector<RwReport> run_rw_matrix();
 
 void print_rw_matrix(const std::vector<RwReport>& reports);

@@ -212,7 +212,6 @@ TEST(TraceExport, WritesOneWellFormedLinePerEvent) {
 
 TEST(TracePayload, RwMisuseCarriesModeAndReaderEstimate) {
   clear_trace();
-  shield::ShieldPolicyGuard policy(shield::ShieldPolicy::kSuppress);
   response::ResponseRulesGuard rules("");
   using Rw = CrwLock<kOriginal, SplitReadIndicator, RwPreference::kNeutral>;
   RwShield<Rw> rw;
@@ -250,7 +249,6 @@ TEST(TracePayload, RwMisuseCarriesModeAndReaderEstimate) {
 
 TEST(TracePayload, ExclusiveShieldMisuseCarriesItsClass) {
   clear_trace();
-  shield::ShieldPolicyGuard policy(shield::ShieldPolicy::kSuppress);
   response::ResponseRulesGuard rules("");
   Shield<TasLock> lock;
   lock.acquire();

@@ -52,7 +52,7 @@ std::vector<lockdep::ClassId> my_stack_classes() {
 // ---------------------------------------------------------------------
 
 TEST(HierLockdep, ThreeLevelHoldTagsEveryLevel) {
-  lockdep::LockdepModeGuard mode(lockdep::LockdepMode::kReport);
+  lockdep::LockdepEnabledGuard lockdep_on(true);
   BasicHmcsLock<kResilient> tree(std::vector<std::uint32_t>{2, 2});
   ASSERT_EQ(tree.tracked_levels(), 3u);
   BasicHmcsLock<kResilient>::Context ctx;
@@ -77,7 +77,7 @@ TEST(HierLockdep, ThreeLevelHoldTagsEveryLevel) {
 }
 
 TEST(HierLockdep, HclhHoldTagsBothLevels) {
-  lockdep::LockdepModeGuard mode(lockdep::LockdepMode::kReport);
+  lockdep::LockdepEnabledGuard lockdep_on(true);
   BasicHclhLock<kResilient> lock(platform::Topology::uniform(2, 2));
   BasicHclhLock<kResilient>::Context ctx;
   const std::size_t depth_before = lockdep::AcqStack::mine().depth();
@@ -101,7 +101,7 @@ TEST(HierLockdep, HclhHoldTagsBothLevels) {
 // ---------------------------------------------------------------------
 
 TEST(HierLockdep, AhmcsAdaptiveEntryTagsOnlyFromEntryLevel) {
-  lockdep::LockdepModeGuard mode(lockdep::LockdepMode::kReport);
+  lockdep::LockdepEnabledGuard lockdep_on(true);
   BasicAhmcsLock<kResilient> lock(std::vector<std::uint32_t>{2, 2});
   BasicAhmcsLock<kResilient>::Context ctx;
   const std::size_t depth_before = lockdep::AcqStack::mine().depth();
@@ -133,7 +133,7 @@ TEST(HierLockdep, AhmcsAdaptiveEntryTagsOnlyFromEntryLevel) {
 // ---------------------------------------------------------------------
 
 TEST(HierLockdep, ConcurrentSameLevelAcquisitionsShareOneClassSlot) {
-  lockdep::LockdepModeGuard mode(lockdep::LockdepMode::kReport);
+  lockdep::LockdepEnabledGuard lockdep_on(true);
   const auto before = lockdep::Graph::instance().stats();
   {
     // 3 levels, 9 leaves, 6 threads hammering concurrently: the racing
@@ -167,8 +167,7 @@ TEST(HierLockdep, ConcurrentSameLevelAcquisitionsShareOneClassSlot) {
 // ---------------------------------------------------------------------
 
 TEST(HierLockdep, ClassScopedRuleResolvesAtInstallAndPinsOneTree) {
-  lockdep::LockdepModeGuard mode(lockdep::LockdepMode::kReport);
-  shield::ShieldPolicyGuard policy(shield::ShieldPolicy::kSuppress);
+  lockdep::LockdepEnabledGuard lockdep_on(true);
   BasicHmcsLock<kResilient> tree(std::vector<std::uint32_t>{2});
   BasicHmcsLock<kResilient>::Context ctx;
   tree.acquire(ctx);
@@ -177,11 +176,12 @@ TEST(HierLockdep, ClassScopedRuleResolvesAtInstallAndPinsOneTree) {
   response::ResponseRulesGuard rules(
       "unbalanced-unlock@class=hmcs.level1=abort;*=suppress");
   const auto installed = response::ResponseEngine::instance().rules();
-  ASSERT_EQ(installed.size(), 2u);
-  EXPECT_EQ(installed[0].cond, response::Condition::kClassScope);
-  EXPECT_EQ(installed[0].cls_name, "hmcs.level1");
+  ASSERT_EQ(installed.size(), 4u);  // two rules + the built-in tail
+  ASSERT_EQ(installed[0].conds.size(), 1u);
+  EXPECT_EQ(installed[0].conds[0].cond, response::Condition::kClassScope);
+  EXPECT_EQ(installed[0].conds[0].cls_name, "hmcs.level1");
   // Install-time resolution pinned the live class id.
-  EXPECT_EQ(installed[0].cls, tree.level_class(1));
+  EXPECT_EQ(installed[0].conds[0].cls, tree.level_class(1));
 
   response::ScopedAbortHandler trap(&counting_trap);
   const std::uint64_t before =
@@ -202,14 +202,15 @@ TEST(HierLockdep, ClassScopedRuleResolvesAtInstallAndPinsOneTree) {
 }
 
 TEST(HierLockdep, ClassScopedRuleInstalledBeforeRegistrationMatchesByLabel) {
-  lockdep::LockdepModeGuard mode(lockdep::LockdepMode::kReport);
+  lockdep::LockdepEnabledGuard lockdep_on(true);
   // Installed while no hclh class exists anywhere: stays unresolved,
   // matches by label once the class registers.
   response::ResponseRulesGuard rules(
       "unbalanced-unlock@class=hier.test.none=log;*=suppress");
   const auto installed = response::ResponseEngine::instance().rules();
-  ASSERT_EQ(installed.size(), 2u);
-  EXPECT_EQ(installed[0].cls, response::kNoClass);
+  ASSERT_EQ(installed.size(), 4u);  // two rules + the built-in tail
+  ASSERT_EQ(installed[0].conds.size(), 1u);
+  EXPECT_EQ(installed[0].conds[0].cls, response::kNoClass);
   // Label matching against a context that names no class: no match.
   response::EventContext ectx;
   EXPECT_FALSE(installed[0].matches(

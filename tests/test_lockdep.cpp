@@ -25,6 +25,7 @@
 #include "interpose/transparent_mutex.hpp"
 #include "lockdep/event_ring.hpp"
 #include "lockdep/lockdep.hpp"
+#include "response/response.hpp"
 #include "shield/shield.hpp"
 #include "verify/lockdep_matrix.hpp"
 
@@ -33,10 +34,9 @@ using lockdep::AcqStack;
 using lockdep::EventKind;
 using lockdep::EventRing;
 using lockdep::Graph;
-using lockdep::LockdepMode;
-using lockdep::LockdepModeGuard;
+using lockdep::LockdepEnabledGuard;
 using lockdep::TraceBuffer;
-using shield::ShieldPolicy;
+using response::ResponseRulesGuard;
 
 namespace {
 
@@ -49,25 +49,16 @@ void clear_trace() { TraceBuffer::instance().drain_all(); }
 }  // namespace
 
 // ---------------------------------------------------------------------
-// Mode engine.
+// On/off switch.
 // ---------------------------------------------------------------------
 
-TEST(LockdepMode, Names) {
-  using lockdep::mode_from_name;
-  EXPECT_EQ(mode_from_name("off"), LockdepMode::kOff);
-  EXPECT_EQ(mode_from_name("report"), LockdepMode::kReport);
-  EXPECT_EQ(mode_from_name("abort"), LockdepMode::kAbort);
-  EXPECT_FALSE(mode_from_name("bogus").has_value());
-  EXPECT_STREQ(lockdep::to_string(LockdepMode::kReport), "report");
-}
-
-TEST(LockdepMode, GuardRestoresOnScopeExit) {
-  const LockdepMode before = lockdep::lockdep_mode();
+TEST(LockdepSwitch, GuardRestoresOnScopeExit) {
+  const bool before = lockdep::lockdep_enabled();
   {
-    LockdepModeGuard pin(LockdepMode::kAbort);
-    EXPECT_EQ(lockdep::lockdep_mode(), LockdepMode::kAbort);
+    LockdepEnabledGuard pin(!before);
+    EXPECT_EQ(lockdep::lockdep_enabled(), !before);
   }
-  EXPECT_EQ(lockdep::lockdep_mode(), before);
+  EXPECT_EQ(lockdep::lockdep_enabled(), before);
 }
 
 // ---------------------------------------------------------------------
@@ -262,7 +253,8 @@ TEST(LockdepEventRing, SpscAcrossThreads) {
 
 TEST(LockdepTraceBuffer, ShieldMisuseArrivesAsEvent) {
   clear_trace();
-  Shield<TatasLock> s(ShieldPolicy::kSuppress);
+  ResponseRulesGuard rules("");  // misuse=suppress
+  Shield<TatasLock> s;
   EXPECT_FALSE(s.release());  // unbalanced unlock
   bool seen = false;
   TraceBuffer::instance().drain([&](const lockdep::TraceEvent& e) {
@@ -280,8 +272,8 @@ TEST(LockdepTraceBuffer, ShieldMisuseArrivesAsEvent) {
 // ---------------------------------------------------------------------
 
 TEST(Lockdep, InversionFlaggedOnFirstOccurrenceWithoutWedge) {
-  LockdepModeGuard mode(LockdepMode::kReport);
-  shield::ShieldPolicyGuard pol(ShieldPolicy::kSuppress);
+  LockdepEnabledGuard on(true);
+  ResponseRulesGuard rules("");
   clear_trace();
   Shield<TatasLock> a, b;
   const auto before = stats().inversions;
@@ -314,8 +306,8 @@ TEST(Lockdep, InversionFlaggedOnFirstOccurrenceWithoutWedge) {
 }
 
 TEST(Lockdep, DiningPhilosophersCycleDetectedSequentially) {
-  LockdepModeGuard mode(LockdepMode::kReport);
-  shield::ShieldPolicyGuard pol(ShieldPolicy::kSuppress);
+  LockdepEnabledGuard on(true);
+  ResponseRulesGuard rules("");
   constexpr int kPhil = 5;
   Shield<TatasLock> fork[kPhil];
   const auto before = stats().cycles;
@@ -334,8 +326,8 @@ TEST(Lockdep, NoFalsePositiveOnConsistentOrderAcrossLockTypes) {
   // Acceptance gate: consistently ordered nesting across three lock
   // FAMILIES (plain word lock, FIFO counter lock, context queue lock)
   // must never report, from any number of threads.
-  LockdepModeGuard mode(LockdepMode::kReport);
-  shield::ShieldPolicyGuard pol(ShieldPolicy::kSuppress);
+  LockdepEnabledGuard on(true);
+  ResponseRulesGuard rules("");
   Shield<TatasLock> outer;
   Shield<TicketLock> middle;
   Shield<McsLock> inner;
@@ -361,8 +353,8 @@ TEST(Lockdep, NoFalsePositiveOnConsistentOrderAcrossLockTypes) {
 TEST(Lockdep, HeterogeneousCycleAcrossLockTypesIsFlagged) {
   // The graph is lock-agnostic: a cycle spanning three different
   // protocols is still a cycle.
-  LockdepModeGuard mode(LockdepMode::kReport);
-  shield::ShieldPolicyGuard pol(ShieldPolicy::kSuppress);
+  LockdepEnabledGuard on(true);
+  ResponseRulesGuard rules("");
   Shield<TatasLock> a;
   Shield<TicketLock> b;
   Shield<McsLock> c;
@@ -384,8 +376,8 @@ TEST(Lockdep, HeterogeneousCycleAcrossLockTypesIsFlagged) {
 }
 
 TEST(Lockdep, TrylockAddsNoEdgesButJoinsHeldSet) {
-  LockdepModeGuard mode(LockdepMode::kReport);
-  shield::ShieldPolicyGuard pol(ShieldPolicy::kSuppress);
+  LockdepEnabledGuard on(true);
+  ResponseRulesGuard rules("");
   const auto before = stats().reports();
   {
     // held-while-TRYlocking records no order: a trylock cannot wedge.
@@ -417,7 +409,7 @@ TEST(Lockdep, TrylockAddsNoEdgesButJoinsHeldSet) {
 }
 
 TEST(Lockdep, ClassRetiredOnShieldDestruction) {
-  LockdepModeGuard mode(LockdepMode::kReport);
+  LockdepEnabledGuard on(true);
   const auto live_before = stats().classes_live;
   {
     Shield<TatasLock> s;
@@ -430,8 +422,8 @@ TEST(Lockdep, ClassRetiredOnShieldDestruction) {
 }
 
 TEST(Lockdep, OffModeTracksNothing) {
-  LockdepModeGuard mode(LockdepMode::kOff);
-  shield::ShieldPolicyGuard pol(ShieldPolicy::kSuppress);
+  LockdepEnabledGuard off(false);
+  ResponseRulesGuard rules("");
   Shield<TatasLock> a, b;
   const auto before = stats();
   a.acquire();
@@ -451,8 +443,8 @@ TEST(Lockdep, EscapeHatchHandoffLeavesStackClean) {
   // §5 hand-off: the acquiring thread's stack entry goes stale when the
   // lock leaves it cross-thread; the next acquire's heal path must
   // purge it (no accumulation, no bogus edge sources).
-  LockdepModeGuard mode(LockdepMode::kReport);
-  shield::ShieldPolicyGuard pol(ShieldPolicy::kSuppress);
+  LockdepEnabledGuard on(true);
+  ResponseRulesGuard rules("");
   const auto depth_before = AcqStack::mine().depth();
   Shield<TatasLock> s;
   s.acquire();
@@ -475,8 +467,8 @@ TEST(Lockdep, HandoffStaleEntryFeedsNoBogusEdges) {
   // record a→b here, and the legitimate b-then-a sequence below would
   // be reported as an inversion this thread never created (a spurious
   // abort under RESILOCK_LOCKDEP=abort).
-  LockdepModeGuard mode(LockdepMode::kReport);
-  shield::ShieldPolicyGuard pol(ShieldPolicy::kSuppress);
+  LockdepEnabledGuard on(true);
+  ResponseRulesGuard rules("");
   Shield<TatasLock> a;
   Shield<TatasLock> b;
   const auto before = stats().reports();
@@ -499,8 +491,8 @@ TEST(Lockdep, HandoffStaleEntryFeedsNoBogusEdges) {
 TEST(LockdepDeathTest, AbortModeDiesBeforeTheWedge) {
   EXPECT_DEATH(
       {
-        lockdep::set_lockdep_mode(LockdepMode::kAbort);
-        shield::set_default_shield_policy(ShieldPolicy::kSuppress);
+        lockdep::set_lockdep_enabled(true);
+        response::ResponseEngine::instance().configure("lockdep=abort");
         Shield<TatasLock> a;
         Shield<TatasLock> b;
         a.acquire();
@@ -519,8 +511,8 @@ TEST(LockdepDeathTest, AbortModeDiesBeforeTheWedge) {
 // ---------------------------------------------------------------------
 
 TEST(Lockdep, TransparentMutexGetsDetectionForFree) {
-  LockdepModeGuard mode(LockdepMode::kReport);
-  shield::ShieldPolicyGuard pol(ShieldPolicy::kSuppress);
+  LockdepEnabledGuard on(true);
+  ResponseRulesGuard rules("");
   interpose::TransparentMutex a, b;  // env default: shield<MCS>
   const auto before = stats().inversions;
   a.lock();

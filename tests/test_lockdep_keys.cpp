@@ -26,9 +26,7 @@
 using namespace resilock;
 using lockdep::Graph;
 using lockdep::LockClassKey;
-using lockdep::LockdepMode;
-using lockdep::LockdepModeGuard;
-using shield::ShieldPolicy;
+using lockdep::LockdepEnabledGuard;
 
 namespace {
 
@@ -37,8 +35,7 @@ lockdep::LockdepStats stats() { return Graph::instance().stats(); }
 struct PinnedEnv {
   // Keyed scenarios must not depend on ambient policy configuration.
   response::ResponseRulesGuard rules{""};
-  shield::ShieldPolicyGuard policy{ShieldPolicy::kSuppress};
-  LockdepModeGuard mode{LockdepMode::kReport};
+  LockdepEnabledGuard lockdep_on{true};
 };
 
 }  // namespace
@@ -178,13 +175,23 @@ TEST(LockdepKeys, SharedEntriesSurviveConcurrentOwnership) {
   key.retire();
 }
 
-TEST(LockdepKeys, KeyedShieldWithExplicitPolicy) {
+TEST(LockdepKeys, ClassScopedRuleReachesKeyedShield) {
+  // A keyed shield's misuse is attributed to the key's class, so an
+  // @class= rule singles it out while other shields keep the tail.
   PinnedEnv pin;
-  LockClassKey key("node");
-  Shield<TatasLock> s(ShieldPolicy::kPassThrough, key);
+  LockClassKey key("keys.scoped");
+  Shield<TatasLockResilient> s(key);
+  Shield<TatasLockResilient> other;
   s.acquire();
   EXPECT_TRUE(s.release());
   EXPECT_EQ(s.lockdep_class(), key.id());
-  EXPECT_EQ(s.policy(), ShieldPolicy::kPassThrough);
+  {
+    response::ResponseRulesGuard rules(
+        "misuse@class=keys.scoped=passthrough");
+    EXPECT_FALSE(s.release());  // forwarded: the resilient base refuses
+    EXPECT_EQ(s.snapshot().passed_through, 1u);
+    EXPECT_FALSE(other.release());  // another class: the tail suppresses
+    EXPECT_EQ(other.snapshot().suppressed, 1u);
+  }
   key.retire();
 }

@@ -83,22 +83,20 @@ const ClassReport* find_class(const std::vector<ClassReport>& classes,
   return nullptr;
 }
 
-// Environment pins shared by the shield-facing tests: suppress policy
-// (misuses are counted, not fatal), no response rules, lockstat on,
+// Environment pins shared by the shield-facing tests: the built-in rule
+// tail (misuses are suppressed and counted, not fatal), lockstat on,
 // hold sampling pinned to 1 (exact mode) so hold windows reconcile
 // one-to-one with acquisitions.
 class LockstatShieldTest : public ::testing::Test {
  protected:
   LockstatShieldTest()
       : rules_(""),
-        policy_(shield::ShieldPolicy::kSuppress),
         stats_(true),
         sample_(1) {
     LockStat::instance().reset();
   }
 
   response::ResponseRulesGuard rules_;
-  shield::ShieldPolicyGuard policy_;
   observe::LockstatGuard stats_;
   observe::LockstatSampleGuard sample_;
 };
@@ -477,7 +475,7 @@ TEST(LockstatEscaping, MetricKeysEscapeInJson) {
 
 TEST(LockstatEscaping, ClassLabelsEscapeInTraceJsonl) {
   observe::LockstatGuard stats(true);
-  shield::ShieldPolicyGuard policy(shield::ShieldPolicy::kSuppress);
+  response::ResponseRulesGuard rules("");  // misuse=suppress
   Shield<TasLock> lock;
   lock.set_lockdep_label("evil\"label\\");
   lock.acquire();

@@ -105,7 +105,6 @@ class RwMisuseFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RwMisuseFuzz, RandomScheduleKeepsInvariants) {
   const std::uint64_t seed = GetParam();
-  shield::ShieldPolicyGuard policy(shield::ShieldPolicy::kSuppress);
   response::ResponseRulesGuard rules("");
   using Rw = CrwLock<kOriginal, SplitReadIndicator, RwPreference::kNeutral>;
   shield::RwShield<Rw> rw;
@@ -197,10 +196,10 @@ namespace {
 
 template <typename L, typename... Args>
 void hier_fuzz_storm(std::uint64_t seed, Args&&... args) {
-  // The explicit per-instance policy pins the verdict (no engine
-  // override), so the counter reconciliation below is exact.
-  shield::Shield<L> lock(shield::ShieldPolicy::kSuppress,
-                         std::forward<Args>(args)...);
+  // Pinned rules make every verdict suppress, so the counter
+  // reconciliation below is exact.
+  response::ResponseRulesGuard rules("misuse=suppress");
+  shield::Shield<L> lock(std::forward<Args>(args)...);
   rv::MutexChecker chk;
   std::atomic<std::uint64_t> balanced_failures{0};
   std::atomic<std::uint64_t> misuse_accepted{0};

@@ -347,7 +347,8 @@ TEST(ParkLocks, MutualExclusionUnderParkedContention) {
 TEST(ParkMisuse, ShieldedMisuseWakesParkedWaiter) {
   ParkingGuard park(true);
   ParkSpinsGuard spins(4);
-  Shield<McsLockResilient> lock(shield::ShieldPolicy::kSuppress);
+  response::ResponseRulesGuard rules("misuse=suppress");
+  Shield<McsLockResilient> lock;
   Shield<McsLockResilient>::Context owner_ctx;
   generic_acquire(lock, owner_ctx);
   std::atomic<bool> entered{false};
@@ -424,7 +425,8 @@ TEST(ParkMisuse, TicketDirectRescueBroadcast) {
 TEST(ParkMisuse, RandomizedParkMisuseFuzz) {
   ParkingGuard park(true);
   ParkSpinsGuard spins(8);
-  Shield<McsLockResilient> lock(shield::ShieldPolicy::kSuppress);
+  response::ResponseRulesGuard rules("misuse=suppress");
+  Shield<McsLockResilient> lock;
   std::uint64_t counter = 0;
   constexpr std::uint32_t kThreads = 4;
   constexpr std::uint64_t kIters = 300;
@@ -615,7 +617,8 @@ TEST(ParkObserve, LockstatCountsParksPerClass) {
   ParkSpinsGuard spins(4);
   observe::LockstatGuard lockstat(true);
   observe::LockStat::instance().reset();
-  Shield<McsLockResilient> lock(shield::ShieldPolicy::kSuppress);
+  response::ResponseRulesGuard rules("misuse=suppress");
+  Shield<McsLockResilient> lock;
   Shield<McsLockResilient>::Context owner_ctx;
   generic_acquire(lock, owner_ctx);
   std::atomic<long> tid{0};
@@ -649,20 +652,18 @@ TEST(ParkObserve, ParkedThresholdConditionParses) {
   const auto rules = response::parse_rules("misuse@parked>=2=abort");
   ASSERT_TRUE(rules.has_value());
   ASSERT_EQ(rules->size(), 1u);
-  EXPECT_EQ((*rules)[0].cond, response::Condition::kParkedAtLeast);
-  EXPECT_EQ((*rules)[0].threshold, 2u);
+  ASSERT_EQ((*rules)[0].conds.size(), 1u);
+  const response::CondClause& parked = (*rules)[0].conds[0];
+  EXPECT_EQ(parked.cond, response::Condition::kParkedAtLeast);
+  EXPECT_EQ(parked.threshold, 2u);
   EXPECT_FALSE(response::parse_rules("misuse@parked>=0=log").has_value());
   EXPECT_FALSE(response::parse_rules("misuse@parked>=x=log").has_value());
 
   response::EventContext ctx;
-  const std::string no_class;
   ctx.waiters_parked = 3;
-  EXPECT_TRUE(response::cond_matches(response::Condition::kParkedAtLeast,
-                                     2, no_class, response::kNoClass, ctx));
+  EXPECT_TRUE(parked.matches(ctx));
   ctx.waiters_parked = 1;
-  EXPECT_FALSE(response::cond_matches(response::Condition::kParkedAtLeast,
-                                      2, no_class, response::kNoClass,
-                                      ctx));
+  EXPECT_FALSE(parked.matches(ctx));
 }
 
 TEST(ParkObserve, CurrentlyParkedGaugeTracksLiveWaiter) {

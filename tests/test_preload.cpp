@@ -140,6 +140,26 @@ TEST(PreloadE2E, ShieldedChildComputesCorrectlyAndAbsorbsMisuse) {
   std::remove(trace.c_str());
 }
 
+// A legacy knob through an unmodified binary: the response engine
+// translates RESILOCK_SHIELD_POLICY=log into the rule "misuse=log" at
+// start, so the same double-unlock is diagnosed and still refused.
+TEST(PreloadE2E, LegacyAliasReachesUnmodifiedChild) {
+  const std::string trace = scratch_path("preload_alias_trace.jsonl");
+  std::remove(trace.c_str());
+  RunResult r = run("env " + preload_env() +
+                    " RESILOCK_SHIELD_POLICY=log RESILOCK_TRACE_FILE=" +
+                    trace + " " + child_bin("preload_child"));
+  EXPECT_EQ(r.exit_code, 0) << r.out;
+  EXPECT_NE(r.out.find("double-unlock-rc=1"), std::string::npos)
+      << r.out;
+  EXPECT_NE(r.out.find("resilock[shield]: double-unlock"),
+            std::string::npos)
+      << r.out;
+  const std::string t = slurp(trace);
+  EXPECT_NE(t.find("\"verdict\":\"log\""), std::string::npos) << t;
+  std::remove(trace.c_str());
+}
+
 // (c) SIGUSR2 at runtime produces a lock_stat report that names the
 // child's own function — the call-site attribution must pierce the
 // interposition layer (the return address inside libresilock_preload

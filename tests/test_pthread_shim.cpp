@@ -114,8 +114,7 @@ TEST(RwlockShim, TrywrlockEBUSYAgainstReadersAndBacksOutCleanly) {
 
 TEST(RwlockShim, TrylocksAddNoLockdepEdges) {
   using resilock::lockdep::Graph;
-  resilock::lockdep::LockdepModeGuard mode(
-      resilock::lockdep::LockdepMode::kReport);
+  resilock::lockdep::LockdepEnabledGuard lockdep_on(true);
   rl_mutex_t m{};
   rl_rwlock_t rw{};
   ASSERT_EQ(rl_mutex_init(&m, "MCS", 1), 0);

@@ -2,12 +2,12 @@
 // (src/response/):
 //   * the RESILOCK_POLICY rule parser — grammar, presets, rejection of
 //     malformed specs;
-//   * decide() — first-match-wins ordering, condition gating, fallback
-//     compatibility with the legacy static policies;
-//   * engine-routed Shield verdicts (default-policy shields follow the
-//     rules, explicit policies stay pinned) including the abort trap;
+//   * decide() — first-match-wins ordering, condition gating, the
+//     built-in tail;
+//   * engine-routed Shield verdicts including the abort trap;
 //   * the verify-layer escalation matrix across TAS/Ticket/MCS and the
-//     legacy compatibility mapping.
+//     alias gate for the legacy RESILOCK_SHIELD_POLICY /
+//     RESILOCK_LOCKDEP knobs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,6 +23,7 @@
 
 using namespace resilock;
 using response::Action;
+using response::CondClause;
 using response::Condition;
 using response::EventContext;
 using response::parse_rules;
@@ -30,7 +31,6 @@ using response::ResponseEngine;
 using response::ResponseEvent;
 using response::ResponseRulesGuard;
 using response::Rule;
-using shield::ShieldPolicy;
 
 namespace {
 
@@ -40,6 +40,23 @@ EventContext contended_ctx(std::uint32_t waiters = 1) {
   c.contended = waiters > 0;
   return c;
 }
+
+CondClause clause(Condition cond, std::uint32_t threshold = 0) {
+  CondClause c;
+  c.cond = cond;
+  c.threshold = threshold;
+  return c;
+}
+
+// The single @cond clause of a one-condition rule.
+const CondClause& only_cond(const Rule& r) {
+  EXPECT_EQ(r.conds.size(), 1u);
+  return r.conds.at(0);
+}
+
+// Rules the built-in tail adds to every installed set.
+const std::size_t kTailRules =
+    parse_rules(response::tail_policy_spec())->size();
 
 }  // namespace
 
@@ -53,7 +70,7 @@ TEST(ResponseParser, SingleRule) {
   ASSERT_EQ(rules->size(), 1u);
   // "misuse" covers the four exclusive ownership kinds AND the rw tail.
   EXPECT_EQ((*rules)[0].events, 0x1CF);
-  EXPECT_EQ((*rules)[0].cond, Condition::kContended);
+  EXPECT_EQ(only_cond((*rules)[0]).cond, Condition::kContended);
   EXPECT_EQ((*rules)[0].action, Action::kLog);
 }
 
@@ -67,7 +84,8 @@ TEST(ResponseParser, EventGroupsAndAliases) {
   EXPECT_EQ((*rules)[1].events, 0x30);
   EXPECT_EQ((*rules)[2].events, 0x1FF);
   EXPECT_EQ((*rules)[3].events, 0x30);
-  EXPECT_EQ((*rules)[3].cond, Condition::kContended);  // waiters alias
+  // "waiters" is an alias of "contended".
+  EXPECT_EQ(only_cond((*rules)[3]).cond, Condition::kContended);
 }
 
 TEST(ResponseParser, RwEventTokens) {
@@ -88,9 +106,9 @@ TEST(ResponseParser, WaitersThresholdCondition) {
       parse_rules("misuse@waiters>=3=abort;lockdep@waiters>=10=abort");
   ASSERT_TRUE(rules.has_value());
   ASSERT_EQ(rules->size(), 2u);
-  EXPECT_EQ((*rules)[0].cond, Condition::kWaitersAtLeast);
-  EXPECT_EQ((*rules)[0].threshold, 3u);
-  EXPECT_EQ((*rules)[1].threshold, 10u);
+  EXPECT_EQ(only_cond((*rules)[0]).cond, Condition::kWaitersAtLeast);
+  EXPECT_EQ(only_cond((*rules)[0]).threshold, 3u);
+  EXPECT_EQ(only_cond((*rules)[1]).threshold, 10u);
   // Malformed thresholds poison the spec.
   EXPECT_FALSE(parse_rules("misuse@waiters>==log").has_value());
   EXPECT_FALSE(parse_rules("misuse@waiters>=x=log").has_value());
@@ -103,11 +121,12 @@ TEST(ResponseParser, ClassScopeCondition) {
       "inversion@class=hmcs.level1=abort;misuse@class=app.cache=log");
   ASSERT_TRUE(rules.has_value());
   ASSERT_EQ(rules->size(), 2u);
-  EXPECT_EQ((*rules)[0].cond, Condition::kClassScope);
-  EXPECT_EQ((*rules)[0].cls_name, "hmcs.level1");
-  EXPECT_EQ((*rules)[0].cls, resilock::response::kNoClass);  // unresolved
+  EXPECT_EQ(only_cond((*rules)[0]).cond, Condition::kClassScope);
+  EXPECT_EQ(only_cond((*rules)[0]).cls_name, "hmcs.level1");
+  EXPECT_EQ(only_cond((*rules)[0]).cls,
+            resilock::response::kNoClass);  // unresolved
   EXPECT_EQ((*rules)[0].action, Action::kAbort);
-  EXPECT_EQ((*rules)[1].cls_name, "app.cache");
+  EXPECT_EQ(only_cond((*rules)[1]).cls_name, "app.cache");
   // An empty scope poisons the spec.
   EXPECT_FALSE(parse_rules("inversion@class==abort").has_value());
 
@@ -121,7 +140,7 @@ TEST(ResponseParser, ClassScopeCondition) {
   ctx.cls_label = "hmcs.level1";
   EXPECT_TRUE((*rules)[0].matches(ResponseEvent::kOrderInversion, ctx));
   Rule pinned = (*rules)[0];
-  pinned.cls = 12;  // resolved to a different id: label no longer enough
+  pinned.conds[0].cls = 12;  // resolved elsewhere: label no longer enough
   EXPECT_FALSE(pinned.matches(ResponseEvent::kOrderInversion, ctx));
   ctx.cls = 12;
   EXPECT_TRUE(pinned.matches(ResponseEvent::kOrderInversion, ctx));
@@ -134,22 +153,22 @@ TEST(ResponseParser, CompoundConditionsParse) {
       parse_rules("misuse@class=app.db@waiters>=2=abort;lockdep=log");
   ASSERT_TRUE(rules.has_value());
   ASSERT_EQ(rules->size(), 2u);
-  // First clause lands in the rule's flat fields, the rest in extra.
-  EXPECT_EQ((*rules)[0].cond, Condition::kClassScope);
-  EXPECT_EQ((*rules)[0].cls_name, "app.db");
-  ASSERT_EQ((*rules)[0].extra.size(), 1u);
-  EXPECT_EQ((*rules)[0].extra[0].cond, Condition::kWaitersAtLeast);
-  EXPECT_EQ((*rules)[0].extra[0].threshold, 2u);
-  EXPECT_TRUE((*rules)[1].extra.empty());
+  // Clauses keep their written order.
+  ASSERT_EQ((*rules)[0].conds.size(), 2u);
+  EXPECT_EQ((*rules)[0].conds[0].cond, Condition::kClassScope);
+  EXPECT_EQ((*rules)[0].conds[0].cls_name, "app.db");
+  EXPECT_EQ((*rules)[0].conds[1].cond, Condition::kWaitersAtLeast);
+  EXPECT_EQ((*rules)[0].conds[1].threshold, 2u);
+  EXPECT_TRUE((*rules)[1].conds.empty());
 
-  // Three clauses chain too; order is preserved.
+  // Three clauses chain too.
   const auto three = parse_rules(
       "misuse@contended@class=app.db@waiters>=5=abort");
   ASSERT_TRUE(three.has_value());
-  EXPECT_EQ((*three)[0].cond, Condition::kContended);
-  ASSERT_EQ((*three)[0].extra.size(), 2u);
-  EXPECT_EQ((*three)[0].extra[0].cond, Condition::kClassScope);
-  EXPECT_EQ((*three)[0].extra[1].cond, Condition::kWaitersAtLeast);
+  ASSERT_EQ((*three)[0].conds.size(), 3u);
+  EXPECT_EQ((*three)[0].conds[0].cond, Condition::kContended);
+  EXPECT_EQ((*three)[0].conds[1].cond, Condition::kClassScope);
+  EXPECT_EQ((*three)[0].conds[2].cond, Condition::kWaitersAtLeast);
 
   // A malformed clause anywhere in the chain poisons the spec.
   EXPECT_FALSE(parse_rules("misuse@class=app.db@@waiters>=2=log")
@@ -189,9 +208,8 @@ TEST(ResponseRule, CompoundConditionsAndTogether) {
 
 TEST(ResponseEngineConfig, CompoundClassClauseResolvesAtInstall) {
   // Register the class first, so install() can pin the live id into
-  // an EXTRA clause (not just the flat first clause).
-  lockdep::LockdepModeGuard mode(lockdep::LockdepMode::kReport);
-  shield::ShieldPolicyGuard policy(ShieldPolicy::kSuppress);
+  // a later clause, not just the first.
+  lockdep::LockdepEnabledGuard lockdep_on(true);
   Shield<TasLock> lock;
   lock.set_lockdep_label("response.compound.pin");
   lock.acquire();
@@ -203,10 +221,10 @@ TEST(ResponseEngineConfig, CompoundClassClauseResolvesAtInstall) {
   ResponseRulesGuard rules(
       "misuse@waiters>=2@class=response.compound.pin=abort");
   const auto installed = ResponseEngine::instance().rules();
-  ASSERT_EQ(installed.size(), 1u);
-  ASSERT_EQ(installed[0].extra.size(), 1u);
-  EXPECT_EQ(installed[0].extra[0].cond, Condition::kClassScope);
-  EXPECT_EQ(installed[0].extra[0].cls, cls);
+  ASSERT_EQ(installed.size(), 1u + kTailRules);
+  ASSERT_EQ(installed[0].conds.size(), 2u);
+  EXPECT_EQ(installed[0].conds[1].cond, Condition::kClassScope);
+  EXPECT_EQ(installed[0].conds[1].cls, cls);
 }
 
 TEST(ResponseParser, WhitespaceTolerated) {
@@ -214,7 +232,7 @@ TEST(ResponseParser, WhitespaceTolerated) {
       parse_rules(" misuse @ uncontended = passthrough ; lockdep = log ");
   ASSERT_TRUE(rules.has_value());
   EXPECT_EQ(rules->size(), 2u);
-  EXPECT_EQ((*rules)[0].cond, Condition::kUncontended);
+  EXPECT_EQ(only_cond((*rules)[0]).cond, Condition::kUncontended);
 }
 
 TEST(ResponseParser, PresetsAndEmpty) {
@@ -239,8 +257,7 @@ TEST(ResponseParser, MalformedSpecsRejectedWhole) {
 
 TEST(ResponseRule, WaitersThresholdGating) {
   Rule r;
-  r.cond = Condition::kWaitersAtLeast;
-  r.threshold = 3;
+  r.conds = {clause(Condition::kWaitersAtLeast, 3)};
   EXPECT_FALSE(r.matches(ResponseEvent::kDoubleUnlock, contended_ctx(2)));
   EXPECT_TRUE(r.matches(ResponseEvent::kDoubleUnlock, contended_ctx(3)));
   EXPECT_TRUE(r.matches(ResponseEvent::kDoubleUnlock, contended_ctx(7)));
@@ -253,26 +270,23 @@ TEST(ResponseEngineDecide, ThresholdEscalatesAboveContended) {
   ResponseRulesGuard rules(
       "misuse@waiters>=4=abort;misuse@contended=log;misuse=suppress");
   auto& e = ResponseEngine::instance();
-  EXPECT_EQ(e.decide(ResponseEvent::kUnbalancedUnlock, EventContext{},
-                     Action::kPassthrough),
+  EXPECT_EQ(e.decide(ResponseEvent::kUnbalancedUnlock, EventContext{}),
             Action::kSuppress);
-  EXPECT_EQ(e.decide(ResponseEvent::kUnbalancedUnlock, contended_ctx(1),
-                     Action::kPassthrough),
+  EXPECT_EQ(e.decide(ResponseEvent::kUnbalancedUnlock, contended_ctx(1)),
             Action::kLog);
-  EXPECT_EQ(e.decide(ResponseEvent::kUnbalancedUnlock, contended_ctx(4),
-                     Action::kPassthrough),
+  EXPECT_EQ(e.decide(ResponseEvent::kUnbalancedUnlock, contended_ctx(4)),
             Action::kAbort);
 }
 
 TEST(ResponseRule, ConditionGating) {
   Rule r;
   r.events = 0x0F;
-  r.cond = Condition::kContended;
+  r.conds = {clause(Condition::kContended)};
   EXPECT_TRUE(r.matches(ResponseEvent::kDoubleUnlock, contended_ctx()));
   EXPECT_FALSE(r.matches(ResponseEvent::kDoubleUnlock, EventContext{}));
   EXPECT_FALSE(r.matches(ResponseEvent::kOrderInversion, contended_ctx()));
   Rule incycle;
-  incycle.cond = Condition::kInCycle;
+  incycle.conds = {clause(Condition::kInCycle)};
   EventContext flagged;
   flagged.in_flagged_cycle = true;
   EXPECT_TRUE(incycle.matches(ResponseEvent::kNonOwnerUnlock, flagged));
@@ -281,46 +295,43 @@ TEST(ResponseRule, ConditionGating) {
 }
 
 // ---------------------------------------------------------------------
-// decide(): ordering, fallback, stats.
+// decide(): ordering, the tail, stats.
 // ---------------------------------------------------------------------
 
-TEST(ResponseEngineDecide, NoRulesReturnsFallback) {
+TEST(ResponseEngineDecide, EmptySpecInstallsTheTailAlone) {
   ResponseRulesGuard none("");
   auto& e = ResponseEngine::instance();
-  EXPECT_FALSE(e.has_rules());
-  for (const Action fb : {Action::kPassthrough, Action::kSuppress,
-                          Action::kLog, Action::kAbort}) {
-    EXPECT_EQ(e.decide(ResponseEvent::kUnbalancedUnlock, EventContext{}, fb),
-              fb);
-    EXPECT_EQ(e.decide(ResponseEvent::kDeadlockCycle, contended_ctx(), fb),
-              fb);
+  EXPECT_EQ(e.rules().size(), kTailRules);
+  for (std::size_t i = 0; i < response::kResponseEvents; ++i) {
+    const auto ev = static_cast<ResponseEvent>(i);
+    const bool report = ev == ResponseEvent::kOrderInversion ||
+                        ev == ResponseEvent::kDeadlockCycle;
+    const Action want = report ? Action::kLog : Action::kSuppress;
+    EXPECT_EQ(e.decide(ev, EventContext{}), want) << to_string(ev);
+    EXPECT_EQ(e.decide(ev, contended_ctx()), want) << to_string(ev);
   }
 }
 
 TEST(ResponseEngineDecide, FirstMatchWins) {
   ResponseRulesGuard rules("misuse@contended=abort;misuse=log");
   auto& e = ResponseEngine::instance();
-  EXPECT_EQ(e.decide(ResponseEvent::kDoubleUnlock, contended_ctx(),
-                     Action::kSuppress),
+  EXPECT_EQ(e.decide(ResponseEvent::kDoubleUnlock, contended_ctx()),
             Action::kAbort);
-  EXPECT_EQ(e.decide(ResponseEvent::kDoubleUnlock, EventContext{},
-                     Action::kSuppress),
+  EXPECT_EQ(e.decide(ResponseEvent::kDoubleUnlock, EventContext{}),
             Action::kLog);
-  // Unmatched event kind falls through to the fallback.
-  EXPECT_EQ(e.decide(ResponseEvent::kOrderInversion, contended_ctx(),
-                     Action::kSuppress),
-            Action::kSuppress);
+  // An event kind no user rule names falls to the tail.
+  EXPECT_EQ(e.decide(ResponseEvent::kOrderInversion, contended_ctx()),
+            Action::kLog);
 }
 
 TEST(ResponseEngineDecide, StatsCountDecisions) {
   ResponseRulesGuard rules("misuse=passthrough");
   auto& e = ResponseEngine::instance();
   const auto before = e.stats();
-  e.decide(ResponseEvent::kDoubleUnlock, EventContext{}, Action::kSuppress);
-  e.decide(ResponseEvent::kOrderInversion, EventContext{}, Action::kLog);
+  e.decide(ResponseEvent::kDoubleUnlock, EventContext{});
+  e.decide(ResponseEvent::kOrderInversion, EventContext{});
   const auto after = e.stats();
   EXPECT_EQ(after.decisions, before.decisions + 2);
-  EXPECT_EQ(after.rule_hits, before.rule_hits + 1);
   EXPECT_EQ(after.by_action[static_cast<int>(Action::kPassthrough)],
             before.by_action[static_cast<int>(Action::kPassthrough)] + 1);
   EXPECT_EQ(after.by_event[static_cast<int>(ResponseEvent::kDoubleUnlock)],
@@ -336,7 +347,7 @@ TEST(ResponseEngineDecide, LogRateLimitDegradesToSuppress) {
   int logged = 0, suppressed = 0;
   for (int i = 0; i < 5; ++i) {
     const Action a = e.decide(ResponseEvent::kUnbalancedUnlock,
-                              EventContext{}, Action::kPassthrough);
+                              EventContext{});
     if (a == Action::kLog) ++logged;
     if (a == Action::kSuppress) ++suppressed;
   }
@@ -355,14 +366,11 @@ TEST(ResponseEngineDecide, RateLimitBucketsArePerEventKind) {
   auto& e = ResponseEngine::instance();
   response::LogRateLimitGuard limit(1);
   // One kind exhausting its bucket must not silence another kind.
-  EXPECT_EQ(e.decide(ResponseEvent::kUnbalancedUnlock, EventContext{},
-                     Action::kSuppress),
+  EXPECT_EQ(e.decide(ResponseEvent::kUnbalancedUnlock, EventContext{}),
             Action::kLog);
-  EXPECT_EQ(e.decide(ResponseEvent::kUnbalancedUnlock, EventContext{},
-                     Action::kSuppress),
+  EXPECT_EQ(e.decide(ResponseEvent::kUnbalancedUnlock, EventContext{}),
             Action::kSuppress);  // bucket drained
-  EXPECT_EQ(e.decide(ResponseEvent::kNonOwnerUnlock, EventContext{},
-                     Action::kSuppress),
+  EXPECT_EQ(e.decide(ResponseEvent::kNonOwnerUnlock, EventContext{}),
             Action::kLog);  // separate bucket, still full
 }
 
@@ -383,24 +391,23 @@ TEST(ResponseEngineConfig, GuardRestoresPreviousRules) {
     EXPECT_GE(ResponseEngine::instance().rules().size(), 4u);
   }
   const auto restored = ResponseEngine::instance().rules();
-  ASSERT_EQ(restored.size(), 1u);
+  ASSERT_EQ(restored.size(), 1u + kTailRules);
   EXPECT_EQ(restored[0].action, Action::kLog);
 }
 
 TEST(ResponseEngineConfig, MalformedConfigureRejectedUntouched) {
   ResponseRulesGuard base("misuse=log");
   EXPECT_FALSE(ResponseEngine::instance().configure("nope=never"));
-  ASSERT_EQ(ResponseEngine::instance().rules().size(), 1u);
+  ASSERT_EQ(ResponseEngine::instance().rules().size(), 1u + kTailRules);
 }
 
 // ---------------------------------------------------------------------
 // Engine-routed Shield verdicts.
 // ---------------------------------------------------------------------
 
-TEST(ResponseShield, DefaultPolicyShieldFollowsRules) {
-  // Rules turn a (default) suppress into passthrough: the resilient
+TEST(ResponseShield, ShieldFollowsRules) {
+  // Rules turn the tail's suppress into passthrough: the resilient
   // base sees and refuses the unbalanced unlock.
-  shield::ShieldPolicyGuard dflt(ShieldPolicy::kSuppress);
   ResponseRulesGuard rules("misuse=passthrough");
   Shield<TatasLockResilient> s;
   EXPECT_FALSE(s.release());
@@ -409,25 +416,7 @@ TEST(ResponseShield, DefaultPolicyShieldFollowsRules) {
   EXPECT_EQ(snap.suppressed, 0u);
 }
 
-TEST(ResponseShield, ExplicitPolicyIgnoresRules) {
-  ResponseRulesGuard rules("misuse=passthrough");
-  Shield<TatasLockResilient> s(ShieldPolicy::kSuppress);
-  EXPECT_FALSE(s.release());
-  const auto snap = s.snapshot();
-  EXPECT_EQ(snap.suppressed, 1u);
-  EXPECT_EQ(snap.passed_through, 0u);
-}
-
-TEST(ResponseShield, SetPolicyPinsInstanceAgainstRules) {
-  ResponseRulesGuard rules("misuse=passthrough");
-  Shield<TatasLockResilient> s;
-  s.set_policy(ShieldPolicy::kSuppress);
-  EXPECT_FALSE(s.release());
-  EXPECT_EQ(s.snapshot().suppressed, 1u);
-}
-
 TEST(ResponseShield, ContendedRuleEscalatesOnLiveWaiters) {
-  shield::ShieldPolicyGuard dflt(ShieldPolicy::kSuppress);
   ResponseRulesGuard rules("misuse@uncontended=passthrough;misuse=log");
   Shield<TicketLockResilient> s;
   // Uncontended: passthrough (base refuses).
@@ -458,7 +447,6 @@ TEST(ResponseShield, ContendedRuleEscalatesOnLiveWaiters) {
 TEST(ResponseShield, AbortVerdictHitsTrapAndDegradesToSuppress) {
   static std::atomic<int> trapped{0};
   trapped.store(0);
-  shield::ShieldPolicyGuard dflt(ShieldPolicy::kSuppress);
   ResponseRulesGuard rules("misuse=abort");
   response::ScopedAbortHandler trap(
       [](ResponseEvent, const void*) { trapped.fetch_add(1); });
@@ -476,7 +464,6 @@ TEST(ResponseShield, AdaptivePresetAbsorbsReentrantRelock) {
   // reentrant relock — on a non-reentrant base that is a guaranteed
   // self-deadlock, not a harmless misuse. The preset pins relocks to
   // suppress, so the second acquire is absorbed as a depth bump.
-  shield::ShieldPolicyGuard dflt(ShieldPolicy::kSuppress);
   ResponseRulesGuard rules(response::adaptive_policy_spec());
   Shield<TatasLock> s;
   s.acquire();
@@ -491,7 +478,6 @@ TEST(ResponseShield, AdaptivePresetNeverForwardsNonOwnerUnlock) {
   // A non-owner unlock is the paper's headline corruption even with an
   // empty waiter queue: the preset logs + suppresses it instead of
   // forwarding it under the uncontended tier.
-  shield::ShieldPolicyGuard dflt(ShieldPolicy::kSuppress);
   ResponseRulesGuard rules(response::adaptive_policy_spec());
   Shield<TatasLock> s;  // ORIGINAL base: a forwarded unlock would free it
   std::atomic<bool> held{false}, go{false};
@@ -527,8 +513,7 @@ TEST(ResponseLockdep, OwnedLockCountsAsContendedForCycleVerdict) {
   // still fire on the closing edge.
   g_wedge_trapped.store(0);
   g_wedge_release.store(false);
-  shield::ShieldPolicyGuard dflt(ShieldPolicy::kSuppress);
-  lockdep::LockdepModeGuard mode(lockdep::LockdepMode::kReport);
+  lockdep::LockdepEnabledGuard lockdep_on(true);
   ResponseRulesGuard rules("lockdep@contended=abort;lockdep=log");
   Shield<TatasLockResilient> a, b;
   a.acquire();
@@ -563,11 +548,73 @@ TEST(ResponseLockdep, OwnedLockCountsAsContendedForCycleVerdict) {
 }
 
 // ---------------------------------------------------------------------
-// Verify layer: the escalation matrix and the compatibility mapping.
+// Verify layer: the alias gate and the escalation matrix.
 // ---------------------------------------------------------------------
 
-TEST(EscalationMatrix, LegacyCompatMappingHolds) {
-  EXPECT_TRUE(verify::verify_legacy_compat_mapping());
+// Every RESILOCK_SHIELD_POLICY value x every RESILOCK_LOCKDEP value,
+// translated into rules, must give the verdict the old static fallback
+// gave — for all nine events in every context.
+TEST(EscalationMatrix, LegacyAliasesKeepTheirVerdicts) {
+  // The old fallback: an unset or unknown RESILOCK_SHIELD_POLICY meant
+  // suppress; RESILOCK_LOCKDEP=abort aborted every report and any other
+  // value logged it.
+  struct ShieldAlias {
+    const char* value;
+    Action misuse;
+  };
+  const ShieldAlias shield_aliases[] = {
+      {"", Action::kSuppress},      {"suppress", Action::kSuppress},
+      {"abort", Action::kAbort},    {"log", Action::kLog},
+      {"passthrough", Action::kPassthrough},
+      {"bogus", Action::kSuppress},
+  };
+  struct LockdepAlias {
+    const char* value;
+    Action report;
+  };
+  const LockdepAlias lockdep_aliases[] = {
+      {"", Action::kLog},      {"report", Action::kLog},
+      {"off", Action::kLog},   {"abort", Action::kAbort},
+      {"bogus", Action::kLog},
+  };
+  EventContext in_cycle;
+  in_cycle.in_flagged_cycle = true;
+  const EventContext contexts[] = {EventContext{}, contended_ctx(2),
+                                   in_cycle};
+  response::LogRateLimitGuard unlimited(0);
+  auto& e = ResponseEngine::instance();
+  for (const ShieldAlias& sp : shield_aliases) {
+    for (const LockdepAlias& ld : lockdep_aliases) {
+      ResponseRulesGuard rules(response::alias_rules(sp.value, ld.value));
+      for (std::size_t i = 0; i < response::kResponseEvents; ++i) {
+        const auto ev = static_cast<ResponseEvent>(i);
+        const bool report = ev == ResponseEvent::kOrderInversion ||
+                            ev == ResponseEvent::kDeadlockCycle;
+        for (const EventContext& ctx : contexts) {
+          EXPECT_EQ(e.decide(ev, ctx), report ? ld.report : sp.misuse)
+              << "RESILOCK_SHIELD_POLICY=" << sp.value
+              << " RESILOCK_LOCKDEP=" << ld.value << " " << to_string(ev);
+        }
+      }
+    }
+  }
+}
+
+TEST(EscalationMatrix, AliasesSitBetweenUserRulesAndTheTail) {
+  // RESILOCK_POLICY rules come first, the aliases second: a contended
+  // misuse takes the user's log, an uncontended one the alias's abort.
+  EXPECT_EQ(response::alias_rules("abort", "abort"),
+            "misuse=abort;lockdep=abort;");
+  ResponseRulesGuard rules("misuse@contended=log;" +
+                           response::alias_rules("abort", "report"));
+  response::LogRateLimitGuard unlimited(0);
+  auto& e = ResponseEngine::instance();
+  EXPECT_EQ(e.decide(ResponseEvent::kDoubleUnlock, contended_ctx()),
+            Action::kLog);
+  EXPECT_EQ(e.decide(ResponseEvent::kDoubleUnlock, EventContext{}),
+            Action::kAbort);
+  EXPECT_EQ(e.decide(ResponseEvent::kDeadlockCycle, EventContext{}),
+            Action::kLog);
 }
 
 TEST(EscalationMatrix, AllTiersFireAcrossFamilies) {

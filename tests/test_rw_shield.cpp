@@ -32,22 +32,18 @@ using response::Action;
 using response::ResponseEvent;
 using response::ResponseRulesGuard;
 using shield::RwShield;
-using shield::ShieldPolicy;
 
 namespace {
 
-// Environment pins shared by every test in this binary: no rules
-// unless a test installs its own, suppress fallback, lockdep report.
+// Environment pins shared by every test in this binary: the built-in
+// rule tail (misuse=suppress) unless a test installs its own rules,
+// lockdep on.
 class RwShieldTest : public ::testing::Test {
  protected:
-  RwShieldTest()
-      : rules_(""),
-        policy_(ShieldPolicy::kSuppress),
-        mode_(lockdep::LockdepMode::kReport) {}
+  RwShieldTest() : rules_(""), lockdep_on_(true) {}
 
   response::ResponseRulesGuard rules_;
-  shield::ShieldPolicyGuard policy_;
-  lockdep::LockdepModeGuard mode_;
+  lockdep::LockdepEnabledGuard lockdep_on_;
 };
 
 using NpOriginal =
@@ -212,7 +208,8 @@ TEST_F(RwShieldTest, PassthroughRecursiveReadStaysFaithful) {
   // Regression: a FORWARDED (passthrough) recursive read must not also
   // bump the table — the base saw two arrives, so the base must see
   // two departs, or a counting indicator skews forever.
-  RwShield<NpOriginal> rw(ShieldPolicy::kPassThrough);
+  ResponseRulesGuard rules("misuse=passthrough");
+  RwShield<NpOriginal> rw;
   NpOriginal::Context c;
   rw.rlock(c);
   rw.rlock(c);  // forwarded: arrive #2, table depth stays 1
@@ -276,13 +273,14 @@ TEST_F(RwShieldTest, UnifiedUnlockRoutesByHeldMode) {
 }
 
 // ---------------------------------------------------------------------
-// Policy precedence and engine routing.
+// Engine routing.
 // ---------------------------------------------------------------------
 
-TEST_F(RwShieldTest, ExplicitPassthroughReachesResilientBase) {
+TEST_F(RwShieldTest, PassthroughRuleReachesResilientBase) {
   // The native W-side remedy refuses the forwarded misuse, proving the
   // shield really passed it through.
-  RwShield<NpResilient> rw(ShieldPolicy::kPassThrough);
+  ResponseRulesGuard rules("misuse=passthrough");
+  RwShield<NpResilient> rw;
   NpResilient::Context c;
   EXPECT_FALSE(rw.wunlock(c));
   const auto snap = rw.snapshot();

@@ -109,6 +109,11 @@ TYPED_TEST(IndicatorTest, IngressEgressChurnUnderConcurrentObserver) {
         polls.fetch_add(1, std::memory_order_relaxed);
       }
     } else {
+      // Churn only once the observer is polling: on a loaded machine it
+      // may otherwise not be scheduled before churner 1 sets `stop`.
+      while (polls.load(std::memory_order_relaxed) == 0) {
+        std::this_thread::yield();
+      }
       for (int i = 0; i < 3000; ++i) {
         ind.arrive(pid);
         if ((i & 7) == 0) std::this_thread::yield();

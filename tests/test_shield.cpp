@@ -1,9 +1,9 @@
 // Unit tests for the ownership-shield subsystem (src/shield/):
 //   * HeldLockTable — fast path, spillover, and the two exemplar bugs
 //     fixed (off-by-one at the fast-path boundary, overflow loss);
-//   * the full policy matrix — {kSuppress, kAbort, kLogAndSuppress,
-//     kPassThrough} x {unbalanced unlock, double unlock, non-owner
-//     unlock, reentrant relock} — across three lock families (TAS,
+//   * the full verdict matrix — {suppress, abort, log, passthrough}
+//     rules x {unbalanced unlock, double unlock, non-owner unlock,
+//     reentrant relock} — across three lock families (TAS,
 //     Ticket, MCS: one plain word lock, one plain FIFO lock, one
 //     context queue lock);
 //   * telemetry snapshots, the §5 escape hatch, registry composites,
@@ -20,6 +20,7 @@
 #include "core/tas.hpp"
 #include "core/ticket.hpp"
 #include "lock_test_util.hpp"
+#include "response/response.hpp"
 #include "shield/held_lock_table.hpp"
 #include "shield/shield.hpp"
 #include "verify/misuse_matrix.hpp"
@@ -27,7 +28,7 @@
 using namespace resilock;
 using shield::HeldLockTable;
 using shield::MisuseKind;
-using shield::ShieldPolicy;
+using response::ResponseRulesGuard;
 namespace rt = resilock::test;
 
 // Shield<L> must stay inside the lock vocabulary for every family.
@@ -103,17 +104,19 @@ TEST(HeldLockTable, SpillPromotionKeepsFastPathHot) {
 }
 
 // ---------------------------------------------------------------------
-// Policy matrix: policy x misuse kind x {TAS, Ticket, MCS}.
+// Verdict matrix: verdict x misuse kind x {TAS, Ticket, MCS}.
 // ---------------------------------------------------------------------
 
-// Runs the four misuse scenarios under kSuppress (or kLogAndSuppress)
-// and checks interception, counters, and that the base never corrupts.
+// Runs the four misuse scenarios under "misuse=suppress" (or
+// "misuse=log") and checks interception, counters, and that the base
+// never corrupts.
 template <typename Base>
-void suppressing_policy_matrix(ShieldPolicy policy) {
+void suppressing_verdict_matrix(std::string_view rules) {
   using S = Shield<Base>;
+  ResponseRulesGuard pin(rules);
 
   {  // unbalanced unlock of a free lock
-    S s(policy);
+    S s;
     context_of_t<S> ctx;
     EXPECT_FALSE(generic_release(s, ctx));
     const auto snap = s.snapshot();
@@ -124,7 +127,7 @@ void suppressing_policy_matrix(ShieldPolicy policy) {
   }
 
   {  // double unlock by the previous owner
-    S s(policy);
+    S s;
     context_of_t<S> ctx;
     generic_acquire(s, ctx);
     EXPECT_TRUE(generic_release(s, ctx));
@@ -133,7 +136,7 @@ void suppressing_policy_matrix(ShieldPolicy policy) {
   }
 
   {  // unlock while another thread holds the lock
-    S s(policy);
+    S s;
     std::atomic<bool> held{false}, done{false};
     std::thread t([&] {
       context_of_t<S> ctx;
@@ -153,7 +156,7 @@ void suppressing_policy_matrix(ShieldPolicy policy) {
   }
 
   {  // reentrant relock, absorbed as a depth bump (§3.9 remedy)
-    S s(policy);
+    S s;
     context_of_t<S> ctx;
     generic_acquire(s, ctx);
     generic_acquire(s, ctx);  // would self-deadlock unshielded
@@ -169,52 +172,55 @@ void suppressing_policy_matrix(ShieldPolicy policy) {
   }
 }
 
-TEST(ShieldPolicyMatrix, SuppressTas) {
-  suppressing_policy_matrix<TatasLock>(ShieldPolicy::kSuppress);
-  suppressing_policy_matrix<TatasLockResilient>(ShieldPolicy::kSuppress);
+TEST(ShieldVerdictMatrix, SuppressTas) {
+  suppressing_verdict_matrix<TatasLock>("misuse=suppress");
+  suppressing_verdict_matrix<TatasLockResilient>("misuse=suppress");
 }
-TEST(ShieldPolicyMatrix, SuppressTicket) {
-  suppressing_policy_matrix<TicketLock>(ShieldPolicy::kSuppress);
-  suppressing_policy_matrix<TicketLockResilient>(ShieldPolicy::kSuppress);
+TEST(ShieldVerdictMatrix, SuppressTicket) {
+  suppressing_verdict_matrix<TicketLock>("misuse=suppress");
+  suppressing_verdict_matrix<TicketLockResilient>("misuse=suppress");
 }
-TEST(ShieldPolicyMatrix, SuppressMcs) {
-  suppressing_policy_matrix<McsLock>(ShieldPolicy::kSuppress);
-  suppressing_policy_matrix<McsLockResilient>(ShieldPolicy::kSuppress);
-}
-
-TEST(ShieldPolicyMatrix, LogAndSuppressTas) {
-  suppressing_policy_matrix<TatasLock>(ShieldPolicy::kLogAndSuppress);
-}
-TEST(ShieldPolicyMatrix, LogAndSuppressTicket) {
-  suppressing_policy_matrix<TicketLock>(ShieldPolicy::kLogAndSuppress);
-}
-TEST(ShieldPolicyMatrix, LogAndSuppressMcs) {
-  suppressing_policy_matrix<McsLock>(ShieldPolicy::kLogAndSuppress);
+TEST(ShieldVerdictMatrix, SuppressMcs) {
+  suppressing_verdict_matrix<McsLock>("misuse=suppress");
+  suppressing_verdict_matrix<McsLockResilient>("misuse=suppress");
 }
 
-TEST(ShieldPolicyMatrix, LogPolicyWritesDiagnostic) {
-  Shield<TatasLock> s(ShieldPolicy::kLogAndSuppress);
+TEST(ShieldVerdictMatrix, LogAndSuppressTas) {
+  suppressing_verdict_matrix<TatasLock>("misuse=log");
+}
+TEST(ShieldVerdictMatrix, LogAndSuppressTicket) {
+  suppressing_verdict_matrix<TicketLock>("misuse=log");
+}
+TEST(ShieldVerdictMatrix, LogAndSuppressMcs) {
+  suppressing_verdict_matrix<McsLock>("misuse=log");
+}
+
+TEST(ShieldVerdictMatrix, LogVerdictWritesDiagnostic) {
+  ResponseRulesGuard pin("misuse=log");
+  Shield<TatasLock> s;
   ::testing::internal::CaptureStderr();
   EXPECT_FALSE(s.release());
   const std::string err = ::testing::internal::GetCapturedStderr();
   EXPECT_NE(err.find("unbalanced-unlock"), std::string::npos) << err;
 }
 
-// kAbort: every misuse kind dies with a diagnostic. Death tests fork,
+// Abort: every misuse kind dies with a diagnostic. Death tests fork,
 // so each scenario builds its whole world inside the statement.
 template <typename Base>
-void abort_policy_matrix() {
+void abort_verdict_matrix() {
   using S = Shield<Base>;
   EXPECT_DEATH(
       {
-        S s(ShieldPolicy::kAbort);
+        ResponseRulesGuard pin("misuse=abort");
+        S s;
         context_of_t<S> ctx;
         generic_release(s, ctx);  // unbalanced unlock
       },
       "unbalanced-unlock");
   EXPECT_DEATH(
       {
-        S s(ShieldPolicy::kAbort);
+        ResponseRulesGuard pin("misuse=abort");
+        S s;
         context_of_t<S> ctx;
         generic_acquire(s, ctx);
         generic_release(s, ctx);
@@ -223,7 +229,8 @@ void abort_policy_matrix() {
       "double-unlock");
   EXPECT_DEATH(
       {
-        S s(ShieldPolicy::kAbort);
+        ResponseRulesGuard pin("misuse=abort");
+        S s;
         std::atomic<bool> held{false};
         std::thread t([&] {
           context_of_t<S> ctx;
@@ -238,7 +245,8 @@ void abort_policy_matrix() {
       "non-owner-unlock");
   EXPECT_DEATH(
       {
-        S s(ShieldPolicy::kAbort);
+        ResponseRulesGuard pin("misuse=abort");
+        S s;
         context_of_t<S> ctx;
         generic_acquire(s, ctx);
         generic_acquire(s, ctx);  // reentrant relock
@@ -246,21 +254,26 @@ void abort_policy_matrix() {
       "reentrant-relock");
 }
 
-TEST(ShieldPolicyMatrixDeathTest, AbortTas) { abort_policy_matrix<TatasLock>(); }
-TEST(ShieldPolicyMatrixDeathTest, AbortTicket) {
-  abort_policy_matrix<TicketLock>();
+TEST(ShieldVerdictMatrixDeathTest, AbortTas) {
+  abort_verdict_matrix<TatasLock>();
 }
-TEST(ShieldPolicyMatrixDeathTest, AbortMcs) { abort_policy_matrix<McsLock>(); }
+TEST(ShieldVerdictMatrixDeathTest, AbortTicket) {
+  abort_verdict_matrix<TicketLock>();
+}
+TEST(ShieldVerdictMatrixDeathTest, AbortMcs) {
+  abort_verdict_matrix<McsLock>();
+}
 
-// kPassThrough over a RESILIENT base: the shield counts, the base's own
+// Passthrough over a RESILIENT base: the shield counts, the base's own
 // in-protocol check still refuses — observable behavior matches the
 // bare resilient lock.
 template <typename Base>
 void passthrough_over_resilient_matrix() {
   using S = Shield<Base>;
+  ResponseRulesGuard pin("misuse=passthrough");
 
   {  // unbalanced + double unlock reach the base and are refused there
-    S s(ShieldPolicy::kPassThrough);
+    S s;
     context_of_t<S> ctx;
     EXPECT_FALSE(generic_release(s, ctx));
     generic_acquire(s, ctx);
@@ -274,7 +287,7 @@ void passthrough_over_resilient_matrix() {
   }
 
   {  // reentrant relock probed via trylock: the base's CAS refuses
-    S s(ShieldPolicy::kPassThrough);
+    S s;
     context_of_t<S> ctx;
     generic_acquire(s, ctx);
     EXPECT_FALSE(generic_try_acquire(s, ctx));
@@ -285,22 +298,23 @@ void passthrough_over_resilient_matrix() {
   }
 }
 
-TEST(ShieldPolicyMatrix, PassThroughTas) {
+TEST(ShieldVerdictMatrix, PassThroughTas) {
   passthrough_over_resilient_matrix<TatasLockResilient>();
 }
-TEST(ShieldPolicyMatrix, PassThroughTicket) {
+TEST(ShieldVerdictMatrix, PassThroughTicket) {
   passthrough_over_resilient_matrix<TicketLockResilient>();
 }
-TEST(ShieldPolicyMatrix, PassThroughMcs) {
+TEST(ShieldVerdictMatrix, PassThroughMcs) {
   passthrough_over_resilient_matrix<McsLockResilient>();
 }
 
-TEST(ShieldPolicyMatrix, PassThroughOverOriginalIsFaithful) {
+TEST(ShieldVerdictMatrix, PassThroughOverOriginalIsFaithful) {
   // Over an ORIGINAL base, pass-through hands the misuse to the
   // protocol untouched: a non-owner release of a TAS lock really frees
   // the word (the paper's §3.1 consequence), and the shield only keeps
   // the tally.
-  Shield<TatasLock> s(ShieldPolicy::kPassThrough);
+  ResponseRulesGuard pin("misuse=passthrough");
+  Shield<TatasLock> s;
   std::atomic<bool> held{false}, done{false};
   std::thread t([&] {
     s.acquire();
@@ -319,40 +333,21 @@ TEST(ShieldPolicyMatrix, PassThroughOverOriginalIsFaithful) {
 }
 
 // ---------------------------------------------------------------------
-// Policy engine configuration.
+// Verdicts come from the rules installed at misuse time.
 // ---------------------------------------------------------------------
 
-TEST(ShieldPolicyEngine, RuntimeDefaultIsPickedUpAtConstruction) {
-  shield::ShieldPolicyGuard pin(ShieldPolicy::kPassThrough);
+TEST(ShieldVerdicts, RuleChangeAppliesToExistingShield) {
+  ResponseRulesGuard outer("misuse=suppress");
   Shield<TatasLockResilient> s;
-  EXPECT_EQ(s.policy(), ShieldPolicy::kPassThrough);
-}
-
-TEST(ShieldPolicyEngine, PolicyGuardRestoresOnScopeExit) {
-  const ShieldPolicy before = shield::default_shield_policy();
-  {
-    shield::ShieldPolicyGuard pin(ShieldPolicy::kAbort);
-    EXPECT_EQ(shield::default_shield_policy(), ShieldPolicy::kAbort);
-  }
-  EXPECT_EQ(shield::default_shield_policy(), before);
-}
-
-TEST(ShieldPolicyEngine, PerInstanceOverrideAtRuntime) {
-  Shield<TatasLockResilient> s(ShieldPolicy::kSuppress);
   EXPECT_FALSE(s.release());
   EXPECT_EQ(s.snapshot().suppressed, 1u);
-  s.set_policy(ShieldPolicy::kPassThrough);
-  EXPECT_FALSE(s.release());  // now the base's check answers
-  EXPECT_EQ(s.snapshot().passed_through, 1u);
-}
-
-TEST(ShieldPolicyEngine, PolicyNames) {
-  using shield::policy_from_name;
-  EXPECT_EQ(policy_from_name("suppress"), ShieldPolicy::kSuppress);
-  EXPECT_EQ(policy_from_name("abort"), ShieldPolicy::kAbort);
-  EXPECT_EQ(policy_from_name("log"), ShieldPolicy::kLogAndSuppress);
-  EXPECT_EQ(policy_from_name("passthrough"), ShieldPolicy::kPassThrough);
-  EXPECT_FALSE(policy_from_name("bogus").has_value());
+  {
+    ResponseRulesGuard inner("misuse=passthrough");
+    EXPECT_FALSE(s.release());  // now the base's check answers
+    EXPECT_EQ(s.snapshot().passed_through, 1u);
+  }
+  EXPECT_FALSE(s.release());  // the outer rules are back
+  EXPECT_EQ(s.snapshot().suppressed, 2u);
 }
 
 // ---------------------------------------------------------------------
@@ -369,7 +364,8 @@ TEST(Shield, MutualExclusionPreserved) {
 TEST(Shield, ShieldedOriginalSurvivesConcurrentMisuse) {
   // The headline property: an ORIGINAL protocol behind the shield keeps
   // mutual exclusion while a rogue thread hammers unbalanced releases.
-  Shield<TicketLock> s(ShieldPolicy::kSuppress);
+  ResponseRulesGuard pin("misuse=suppress");
+  Shield<TicketLock> s;
   verify::MutexChecker chk;
   std::uint64_t counter = 0;
   runtime::ThreadTeam::run(4, [&](std::uint32_t tid) {
@@ -398,7 +394,8 @@ TEST(Shield, ShieldedOriginalSurvivesConcurrentMisuse) {
 TEST(Shield, EscapeHatchDisablesInterception) {
   // §5: with checks off, one thread acquires and another releases, and
   // the shield stays out of the way entirely.
-  Shield<TatasLockResilient> s(ShieldPolicy::kAbort);  // loudest policy
+  ResponseRulesGuard pin("misuse=abort");  // loudest verdict
+  Shield<TatasLockResilient> s;
   s.acquire();
   {
     MisuseCheckGuard off(false);
@@ -409,7 +406,7 @@ TEST(Shield, EscapeHatchDisablesInterception) {
   EXPECT_EQ(s.snapshot().total_misuses(), 0u);  // nothing was flagged
   // The acquiring thread's table entry went stale when the lock left it
   // cross-thread; the next acquire must self-heal, not flag a relock
-  // (which would abort under this policy).
+  // (which would abort under these rules).
   s.acquire();
   EXPECT_TRUE(s.release());
   EXPECT_EQ(s.snapshot().total_misuses(), 0u);
@@ -420,7 +417,8 @@ TEST(Shield, StaleEntryCannotReleaseAnotherThreadsLock) {
   // original acquirer's table entry is stale. With checks back on, its
   // erroneous release() must NOT free the lock a third thread now
   // holds — release() validates the entry against the owner tag.
-  Shield<TatasLockResilient> s(ShieldPolicy::kSuppress);
+  ResponseRulesGuard pin("misuse=suppress");
+  Shield<TatasLockResilient> s;
   s.acquire();
   {
     MisuseCheckGuard off(false);
@@ -447,7 +445,8 @@ TEST(Shield, AbsorbedRelockReleasesBaseWithAcquiringContext) {
   // final base release: whatever context the caller passes, the base is
   // released with the one it was acquired with (a foreign MCS qnode
   // would self-deadlock).
-  Shield<McsLockResilient> s(ShieldPolicy::kSuppress);
+  ResponseRulesGuard pin("misuse=suppress");
+  Shield<McsLockResilient> s;
   Shield<McsLockResilient>::Context c1, c2;
   s.acquire(c1);
   s.acquire(c2);  // absorbed; c2 never reaches the base
@@ -479,7 +478,8 @@ TEST(Shield, TrylockSemantics) {
 TEST(Shield, DeepRecursionBeyondFastPath) {
   // One shield absorbed past the fast-path size: the spillover keeps
   // the depth exact (no false unbalanced report at any depth).
-  Shield<TatasLock> s(ShieldPolicy::kSuppress);
+  ResponseRulesGuard pin("misuse=suppress");
+  Shield<TatasLock> s;
   constexpr std::uint32_t kDepth = 3 * HeldLockTable::kFastSlots;
   for (std::uint32_t i = 0; i < kDepth; ++i) s.acquire();
   EXPECT_EQ(s.held_depth(), kDepth);

@@ -91,8 +91,7 @@ class CountingSink final : public telemetry::Sink {
 namespace {
 [[noreturn]] void die_with_inversion(const char* path) {
   setenv("RESILOCK_TRACE_FILE", path, 1);
-  shield::ShieldPolicyGuard dflt(shield::ShieldPolicy::kSuppress);
-  lockdep::LockdepModeGuard mode(lockdep::LockdepMode::kReport);
+  lockdep::LockdepEnabledGuard lockdep_on(true);
   response::ResponseRulesGuard rules("lockdep=abort");
   Shield<TasLock> a, b;
   a.acquire();
